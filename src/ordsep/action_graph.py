@@ -380,6 +380,8 @@ def quotient_to_json(q: FiniteQuotient) -> dict:
 
 
 def quotient_from_json(data: dict) -> FiniteQuotient:
+    """Load a quotient; the graph is validated and every claimed witness
+    order is recomputed from it (ValidationError on a mismatch)."""
     from .amalgam import presentation_from_json
 
     graph = graph_from_json(data["graph"])
@@ -391,7 +393,12 @@ def quotient_from_json(data: dict) -> FiniteQuotient:
         source = presentation_from_json(src["presentation"])
     else:
         source = src.get("description")
-    return FiniteQuotient(graph, source, dict(data.get("witness_orders", {})))
+    quotient = FiniteQuotient(graph, source, dict(data.get("witness_orders", {})))
+    if not quotient.check_witnesses():
+        raise ValidationError(
+            "a claimed witness order differs from the graph's", code="WITNESS_ORDER"
+        )
+    return quotient
 
 
 def dumps(data: dict) -> str:

@@ -31,11 +31,13 @@ from .surgery import (
 from .words import (
     Basis,
     Word,
+    _reduced_product,
     conjugate_in_free,
     cyclic_reduce,
     parse_word,
     primitive_root,
     reduce,
+    word_sort_key,
     word_to_text,
 )
 
@@ -137,41 +139,57 @@ def flatten_to_free(pres: AmalgamPresentation, syllables: Sequence[Syllable]) ->
 
 
 def syllable_membership(w: Word, c: Word) -> Optional[int]:
-    """Exponent k with w = c**k in the free group, or None."""
+    """Exponent k with w = c**k in the free group, or None.
+
+    Write reduce(c) = g core g^-1 with core cyclically reduced.  For k > 0
+    the reduced form of c**k is g core^k g^-1 letter for letter, and that of
+    c**-k is g (core^-1)^k g^-1: nothing cancels inside core^k, nor where it
+    meets g.  So reduce(w) can only equal c**k or c**-k for
+    k = (|reduce(w)| - 2|g|) / |core|, and one prefix, suffix and middle
+    comparison decides which, if either.
+    """
     wr = reduce(w)
     if wr.is_empty():
         return 0
     cr = reduce(c)
-    if cr.is_empty():
+    if cr.is_empty() or wr.basis != cr.basis:
         return None
-    core, _ = cyclic_reduce(cr)
-    limit = len(wr) // max(1, len(core)) + 1
-    for k in range(1, limit + 1):
-        power = reduce(cr**k)
-        if power == wr:
-            return k
-        if reduce(cr**-k) == wr:
-            return -k
-        if len(power) > len(wr) + 2 * (len(cr) - len(core)):
-            break
+    core, g = cyclic_reduce(cr)
+    k, rest = divmod(len(wr) - 2 * len(g), len(core))
+    if k < 1 or rest:
+        return None
+    letters = wr.letters
+    head, tail = len(g), len(letters) - len(g)
+    if letters[:head] != g.letters or letters[tail:] != g.inverse().letters:
+        return None
+    middle = letters[head:tail]
+    if middle == core.letters * k:
+        return k
+    if middle == core.inverse().letters * k:
+        return -k
     return None
 
 
 def _coset_representative(word: Word, gen: Word) -> Tuple[Word, int]:
     """Canonical representative of word * <gen>: the shortest element of the
-    coset, ties broken shortlex.  Returns (rep, j) with word = rep * gen**j."""
-    from .words import word_sort_key
+    coset, ties broken shortlex.  Returns (rep, j) with word = rep * gen**j.
 
+    The candidates reduce(word * gen**-j) are stepped through by one seam
+    product with gen^-1 each, and a candidate's shortlex key is built only
+    when its length ties the best so far."""
     core, _ = cyclic_reduce(gen)
-    window = 2 * len(reduce(word)) // max(1, len(core)) + 2
-    best_j = 0
     best = reduce(word)
-    best_key = word_sort_key(best)
+    window = 2 * len(best) // max(1, len(core)) + 2
+    step = reduce(gen).inverse()
+    cand = _reduced_product(best, reduce(gen**window))
+    best_j = 0
     for j in range(-window, window + 1):
-        cand = reduce(word * gen**-j)
-        key = word_sort_key(cand)
-        if key < best_key:
-            best, best_key, best_j = cand, key, j
+        if j > -window:
+            cand = _reduced_product(cand, step)
+        if len(cand) < len(best) or (
+            len(cand) == len(best) and word_sort_key(cand) < word_sort_key(best)
+        ):
+            best, best_j = cand, j
     return best, best_j
 
 
@@ -263,20 +281,6 @@ class ConjugacyResult:
 
     def __bool__(self):
         return self.status == "yes"
-
-
-def _conjugate_power_exponent(word: Word, gen: Word) -> Optional[int]:
-    """k with word conjugate in its factor to gen**k, or None."""
-    core_w, _ = cyclic_reduce(word)
-    core_g, _ = cyclic_reduce(gen)
-    if core_w.is_empty() or len(core_w) % len(core_g):
-        return None
-    k = len(core_w) // len(core_g)
-    if conjugate_in_free(word, reduce(gen**k)) is not None:
-        return k
-    if conjugate_in_free(word, reduce(gen**-k)) is not None:
-        return -k
-    return None
 
 
 def _power_inverse_chain(pres: AmalgamPresentation, k: int) -> bool:
@@ -470,8 +474,6 @@ def delta_sets(
 
 
 def _dedupe_words(words) -> Tuple[Word, ...]:
-    from .words import word_sort_key
-
     seen = {}
     for word in words:
         red = reduce(word)

@@ -45,6 +45,17 @@ Letter = Tuple[int, int]  # (generator index, sign in {+1, -1})
 
 @dataclass(frozen=True)
 class Word:
+    """A word over ``basis``: a tuple of (generator index, sign) letters.
+
+    ``Word(basis, letters)`` validates every letter.  The operations below
+    (``*``, ``inverse``, ``**``, ``reduce``, ``_reduced_product``,
+    ``cyclic_reduce``, ``_rotation``) build their results with
+    ``_trusted_word``, which skips validation.  That is sound because their
+    letters are copied or sign-flipped from existing valid words over the
+    same basis; ``_trusted_word`` must not be given letters from anywhere
+    else.
+    """
+
     basis: Basis
     letters: Tuple[Letter, ...] = ()
 
@@ -61,16 +72,15 @@ class Word:
         return len(self.letters)
 
     def __mul__(self, other: "Word") -> "Word":
-        if other.basis != self.basis:
-            raise ValueError("cannot multiply words over different bases")
-        return Word(self.basis, self.letters + other.letters)
+        _check_same_basis(self, other)
+        return _trusted_word(self.basis, self.letters + other.letters)
 
     def inverse(self) -> "Word":
-        return Word(self.basis, tuple((i, -s) for i, s in reversed(self.letters)))
+        return _trusted_word(self.basis, tuple((i, -s) for i, s in reversed(self.letters)))
 
     def __pow__(self, n: int) -> "Word":
         base = self if n >= 0 else self.inverse()
-        return Word(self.basis, base.letters * abs(n))
+        return _trusted_word(self.basis, base.letters * abs(n))
 
     def is_reduced(self) -> bool:
         for (i, s), (j, t) in zip(self.letters, self.letters[1:]):
@@ -83,6 +93,19 @@ class Word:
 
     def __str__(self):
         return word_to_text(self)
+
+
+def _trusted_word(basis: Basis, letters: Tuple[Letter, ...]) -> Word:
+    """A Word built without validation; see the invariant in ``Word``."""
+    w = object.__new__(Word)
+    object.__setattr__(w, "basis", basis)
+    object.__setattr__(w, "letters", letters)
+    return w
+
+
+def _check_same_basis(u: Word, v: Word) -> None:
+    if v.basis is not u.basis and v.basis != u.basis:
+        raise ValueError("cannot multiply words over different bases")
 
 
 def empty_word(basis: Basis) -> Word:
@@ -131,7 +154,23 @@ def reduce(w: Word) -> Word:
             stack.pop()
         else:
             stack.append(let)
-    return Word(w.basis, tuple(stack))
+    return _trusted_word(w.basis, tuple(stack))
+
+
+def _reduced_product(u: Word, v: Word) -> Word:
+    """``reduce(u * v)`` for reduced u and v: only letters at the seam can
+    cancel, so the result is a prefix of u followed by a suffix of v."""
+    _check_same_basis(u, v)
+    left, right = u.letters, v.letters
+    n, m = len(left), len(right)
+    t = 0
+    while t < n and t < m:
+        i, s = left[n - 1 - t]
+        j, r = right[t]
+        if i != j or s != -r:
+            break
+        t += 1
+    return _trusted_word(u.basis, left[: n - t] + right[t:])
 
 
 def cyclic_reduce(w: Word) -> Tuple[Word, Word]:
@@ -140,13 +179,16 @@ def cyclic_reduce(w: Word) -> Tuple[Word, Word]:
     The core is cyclically reduced: its first and last letters are not
     mutually inverse.
     """
-    red = reduce(w)
-    letters = list(red.letters)
-    prefix = []
-    while len(letters) >= 2 and letters[0][0] == letters[-1][0] and letters[0][1] == -letters[-1][1]:
-        prefix.append(letters[0])
-        letters = letters[1:-1]
-    return Word(w.basis, tuple(letters)), Word(w.basis, tuple(prefix))
+    letters = reduce(w).letters
+    n = len(letters)
+    t = 0
+    while (
+        n - 2 * t >= 2
+        and letters[t][0] == letters[n - 1 - t][0]
+        and letters[t][1] == -letters[n - 1 - t][1]
+    ):
+        t += 1
+    return _trusted_word(w.basis, letters[t : n - t]), _trusted_word(w.basis, letters[:t])
 
 
 def primitive_root(w: Word) -> Tuple[Word, int]:
@@ -170,7 +212,7 @@ def primitive_root(w: Word) -> Tuple[Word, int]:
 
 
 def _rotation(core: Word, r: int) -> Word:
-    return Word(core.basis, core.letters[r:] + core.letters[:r])
+    return _trusted_word(core.basis, core.letters[r:] + core.letters[:r])
 
 
 def _letter_key(letter: Letter):

@@ -16,6 +16,7 @@ from ordsep.action_graph import (
     image_perm,
     is_valid,
     perm_order,
+    quotient_from_json,
     u_cycles,
     validate,
 )
@@ -212,6 +213,19 @@ def test_graph_json_round_trip():
     }
     g = graph_from_json(data)
     assert g == Z2_X_Z3
+
+
+def test_quotient_from_json_rejects_false_witness_order():
+    data = {
+        "graph": graph_to_json(cyclic_graph(2)),
+        "source": {"basis": ["x", "y"]},
+        "witness_orders": {"x": 7},
+    }
+    with pytest.raises(ValidationError) as exc:
+        quotient_from_json(data)
+    assert exc.value.code == "WITNESS_ORDER"
+    data["witness_orders"] = {"x": 2}
+    assert quotient_from_json(data).witness_orders == {"x": 2}
 
 
 def test_dot_export_mentions_all_edges():

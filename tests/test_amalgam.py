@@ -1,9 +1,11 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ordsep.action_graph import element_order
 from ordsep.amalgam import (
     AmalgamPresentation,
     AmalgamWord,
+    _coset_representative,
     amalgam_word_to_text,
     check_matched_pair,
     conjugate_in_amalgam,
@@ -19,7 +21,15 @@ from ordsep.amalgam import (
     union_basis,
 )
 from ordsep.errors import PreconditionError
-from ordsep.words import Basis, parse_word, word_to_text
+from ordsep.words import (
+    Basis,
+    Word,
+    cyclic_reduce,
+    parse_word,
+    reduce,
+    word_sort_key,
+    word_to_text,
+)
 
 A = Basis(("x", "y"))
 B = Basis(("s", "t"))
@@ -32,6 +42,53 @@ def aw(text, pres=PRES):
 
 def wa(text):
     return parse_word(text, A)
+
+
+def presentation(a, b):
+    return AmalgamPresentation(A, B, parse_word(a, A), parse_word(b, B))
+
+
+# the generator fixture and two presentations whose amalgamated generators
+# are longer words: a cyclically reduced one and a commutator
+FIXTURE_AND_LONGER = [
+    PRES,
+    presentation("x y", "s t s"),
+    presentation("x y x^-1 y^-1", "s s t"),
+]
+
+letters = st.tuples(st.integers(0, 1), st.sampled_from((1, -1)))
+
+
+def free_words(basis, max_size):
+    return st.lists(letters, max_size=max_size).map(lambda ls: Word(basis, tuple(ls)))
+
+
+@st.composite
+def generator_and_word(draw):
+    """A reduced subgroup generator, or a conjugate of one, and a word that
+    is often a power of it, a conjugate of a power, a power with a few
+    letters attached, or a power with one letter changed."""
+    pres = draw(st.sampled_from(FIXTURE_AND_LONGER))
+    side = draw(st.sampled_from("AB"))
+    basis, gen = pres.side_basis(side), pres.side_generator(side)
+    h = draw(free_words(basis, 2))
+    c = draw(st.sampled_from((gen, reduce(h * gen * h.inverse()))))
+    power = reduce(c ** draw(st.integers(-4, 4)))
+    left = draw(free_words(basis, 3))
+    mode = draw(st.sampled_from(("power", "conjugate", "attached", "edited", "random")))
+    if mode == "power":
+        word = power
+    elif mode == "conjugate":
+        word = left * power * left.inverse()
+    elif mode == "attached":
+        word = left * power * draw(free_words(basis, 3))
+    elif mode == "edited" and not power.is_empty():
+        edited = list(power.letters)
+        edited[draw(st.integers(0, len(edited) - 1))] = draw(letters)
+        word = Word(basis, tuple(edited))
+    else:
+        word = draw(free_words(basis, 12))
+    return c, word
 
 
 def test_presentation_rejects_proper_power_and_name_clash():
@@ -130,6 +187,76 @@ def test_syllable_membership_examples():
     assert syllable_membership(wa("y"), wa("x")) is None
     assert syllable_membership(wa("1"), wa("x")) == 0
     assert syllable_membership(wa("x^-2"), wa("x")) == -2
+
+
+def membership_by_power_scan(w, c):
+    wr = reduce(w)
+    if wr.is_empty():
+        return 0
+    cr = reduce(c)
+    # every nonzero power of a nonempty reduced word has at least |k| letters
+    for k in range(1, len(wr) + 1):
+        if reduce(cr**k) == wr:
+            return k
+        if reduce(cr**-k) == wr:
+            return -k
+    return None
+
+
+@settings(deadline=None)
+@given(generator_and_word(), st.booleans(), st.data())
+def test_syllable_membership_matches_power_scan(gen_word, other_c, data):
+    gen, word = gen_word
+    c = gen
+    if other_c:
+        c = data.draw(free_words(gen.basis, 6))
+    assert syllable_membership(word, c) == membership_by_power_scan(word, c)
+
+
+def coset_by_window_scan(word, gen):
+    core, _ = cyclic_reduce(gen)
+    window = 2 * len(reduce(word)) // max(1, len(core)) + 2
+    best_j, best = 0, reduce(word)
+    for j in range(-window, window + 1):
+        cand = reduce(word * gen**-j)
+        if word_sort_key(cand) < word_sort_key(best):
+            best, best_j = cand, j
+    return best, best_j
+
+
+@settings(deadline=None)
+@given(generator_and_word())
+def test_coset_representative_matches_window_scan(gen_word):
+    gen, word = gen_word
+    assert _coset_representative(word, gen) == coset_by_window_scan(word, gen)
+
+
+@st.composite
+def amalgam_words(draw, pres, min_syllables, max_syllables):
+    sides = "AB" if draw(st.booleans()) else "BA"
+    syllables = []
+    for i in range(draw(st.integers(min_syllables, max_syllables))):
+        side = sides[i % 2]
+        word = draw(free_words(pres.side_basis(side), 3).filter(lambda w: not w.is_empty()))
+        syllables.append((side, word))
+    return AmalgamWord(tuple(syllables))
+
+
+@pytest.mark.parametrize(
+    "pres",
+    [FIXTURE_AND_LONGER[1], FIXTURE_AND_LONGER[2]],
+    ids=["xy-sts", "commutator-sst"],
+)
+@settings(max_examples=24, deadline=None)
+@given(data=st.data())
+def test_conjugacy_complete_on_random_conjugates(pres, data):
+    u = data.draw(amalgam_words(pres, 2, 4))
+    g = data.draw(amalgam_words(pres, 1, 3))
+    v = g.inverse() * u * g
+    res = conjugate_in_amalgam(u, v, pres)
+    assert res.status == "yes"
+    check = reduce_amalgam(res.witness.inverse() * u * res.witness, pres)
+    assert check == reduce_amalgam(v, pres)
 
 
 def test_conjugacy_rotation():

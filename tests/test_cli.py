@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from ordsep.action_graph import quotient_from_json
+from ordsep.amalgam_graph import aag_from_json
 from ordsep.cli import main
 
 
@@ -201,3 +203,33 @@ def test_stdin_words(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("x x^-1 y"))
     code, out, _ = run(capsys, "reduce", "-")
     assert code == 0 and out == "y\n"
+
+
+def test_emitted_quotients_load(capsys, tmp_path, pres_file):
+    # loading recomputes every claimed witness order, so each quotient the
+    # CLI writes must survive its own check
+    def emitted(*argv):
+        code, out, _ = run(capsys, "--format", "json", *argv)
+        assert code == 0
+        return json.loads(out)
+
+    quotients = [
+        emitted("exact-order", "x y", "4"),
+        emitted("--prime", "3", "simple-quotient", "x y"),
+        emitted("--prime", "2", "equalize", "x", "--v", "y", "-N", "2")["quotient"],
+    ]
+    pair = emitted("matched-pair", "--presentation", pres_file, "A:{y} B:{t}", "A:{y y}")
+    quotients += [pair["phi"], pair["psi"]]
+    for data in quotients:
+        assert data["witness_orders"]
+        assert quotient_from_json(data).check_witnesses()
+
+    paths = []
+    for name, data in (("qa", pair["phi"]), ("qb", pair["psi"])):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(data))
+        paths.append(str(path))
+    glued = emitted(
+        "glue", "--presentation", pres_file, "--quot-a", paths[0], "--quot-b", paths[1]
+    )
+    aag_from_json(glued)

@@ -7,6 +7,9 @@ from ordsep.errors import PreconditionError
 from ordsep.words import (
     Basis,
     Word,
+    _reduced_product,
+    _rotation,
+    _trusted_word,
     commensurable,
     conjugate_in_free,
     cyclic_reduce,
@@ -25,6 +28,43 @@ def w(text):
 
 letters = st.tuples(st.integers(0, 1), st.sampled_from((1, -1)))
 words = st.lists(letters, max_size=64).map(lambda ls: Word(XY, tuple(ls)))
+
+
+@given(words, words, words)
+def test_seam_product_equals_reduce_of_product(a, b, c):
+    # u ends with c and v starts with c^-1, so the seam usually cancels
+    u = reduce(a * c)
+    v = reduce(c.inverse() * b)
+    assert _reduced_product(u, v) == reduce(u * v)
+    assert _reduced_product(reduce(a), reduce(b)) == reduce(a * b)
+
+
+@given(words, st.integers(-3, 3), st.integers(0, 8))
+def test_trusted_results_equal_validated_words(u, n, r):
+    core, conj = cyclic_reduce(u)
+    results = [
+        u * u, u.inverse(), u**n, reduce(u), core, conj,
+        _reduced_product(reduce(u), reduce(u)),
+        _trusted_word(XY, u.letters),
+    ]
+    if not core.is_empty():
+        results.append(_rotation(core, r % len(core)))
+    for result in results:
+        public = Word(XY, result.letters)
+        assert result == public and public == result
+        assert hash(result) == hash(public)
+
+
+@given(
+    st.lists(letters, max_size=4),
+    st.one_of(st.integers(max_value=-1), st.integers(min_value=2)),
+    st.integers().filter(lambda s: s not in (1, -1)),
+)
+def test_public_word_still_validates(prefix, bad_index, bad_sign):
+    with pytest.raises(ValueError):
+        Word(XY, tuple(prefix) + ((bad_index, 1),))
+    with pytest.raises(ValueError):
+        Word(XY, tuple(prefix) + ((0, bad_sign),))
 
 
 def test_parse_and_format_round_trip():
