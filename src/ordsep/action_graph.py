@@ -2,19 +2,21 @@
 
 A graph is one permutation of the vertex set per basis generator; the
 positively oriented edge labeled ``g`` at vertex ``v`` ends at ``perms[g][v]``.
-Inverse edges are implicit.  Orders, cycles, distances and the near-vertex
-predicate all live here.
+Inverse edges are implicit.  Orders, cycles, the near-vertex predicate and
+the breadth-first group closure that the factor groups, the unitriangular
+groups and the small p-group actions share all live here.
 """
 
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass, field
 from math import gcd
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, Hashable, Iterator, List, Sequence, Tuple
 
 from .errors import PreconditionError, ValidationError
-from .words import Basis, Word, reduce, word_to_text
+from .words import Basis, Word, parse_word, reduce, word_to_text
 
 Perm = Tuple[int, ...]
 
@@ -69,6 +71,38 @@ def perm_orbits(p: Perm) -> List[List[int]]:
     return orbits
 
 
+def longest_orbit(p: Perm) -> Tuple[int, int]:
+    """(start, length) of the longest orbit of <p>; among equally long
+    orbits, the one through the smallest vertex."""
+    orbit = max(perm_orbits(p), key=len)
+    return orbit[0], len(orbit)
+
+
+def bfs_closure(
+    identity: Hashable, gens: Sequence, mult: Callable
+) -> Iterator[Hashable]:
+    """Elements of the group generated by ``gens``, in breadth-first order:
+    the identity first, then for each dequeued element ``cur`` every new
+    ``mult(cur, g)`` with ``g`` taken in the order of ``gens``.
+
+    Callers pass the generators followed by their inverses, and stop
+    consuming at their own cap.
+    """
+    # a dict, not a set: at the 20000 elements a regular representation
+    # may reach, it takes about a quarter of a set's memory
+    seen = {identity: None}
+    queue = deque([identity])
+    yield identity
+    while queue:
+        cur = queue.popleft()
+        for g in gens:
+            nxt = mult(cur, g)
+            if nxt not in seen:
+                seen[nxt] = None
+                queue.append(nxt)
+                yield nxt
+
+
 @dataclass(frozen=True)
 class ActionGraph:
     basis: Basis
@@ -77,17 +111,6 @@ class ActionGraph:
 
     def __post_init__(self):
         object.__setattr__(self, "perms", tuple(tuple(p) for p in self.perms))
-
-    def perm(self, gen_index: int) -> Perm:
-        return self.perms[gen_index]
-
-    def inverse_perm(self, gen_index: int) -> Perm:
-        return invert(self.perms[gen_index])
-
-    def step(self, v: int, gen_index: int, sign: int) -> int:
-        if sign > 0:
-            return self.perms[gen_index][v]
-        return invert(self.perms[gen_index])[v]
 
 
 @dataclass(frozen=True)
@@ -200,26 +223,6 @@ def u_cycles(g: ActionGraph, u: Word) -> List[CyclePath]:
     return cycles
 
 
-def distance(g: ActionGraph, p: int, q: int) -> Optional[int]:
-    """Shortest undirected path length; None when unreachable."""
-    if p == q:
-        return 0
-    dist = {p: 0}
-    frontier = [p]
-    neighbors = _neighbor_table(g)
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in neighbors[v]:
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    if w == q:
-                        return dist[w]
-                    nxt.append(w)
-        frontier = nxt
-    return None
-
-
 def _neighbor_table(g: ActionGraph) -> List[List[int]]:
     table = [[] for _ in range(g.degree)]
     for p in g.perms:
@@ -296,12 +299,7 @@ class FiniteQuotient:
     source: object  # Basis or an amalgam presentation
     witness_orders: Dict[str, int] = field(default_factory=dict)
 
-    def order_of(self, w: Word) -> int:
-        return element_order(self.graph, w)
-
     def check_witnesses(self) -> bool:
-        from .words import parse_word
-
         for text, order in self.witness_orders.items():
             w = self._parse_witness(text)
             if element_order(self.graph, w) != order:
@@ -310,7 +308,6 @@ class FiniteQuotient:
 
     def _parse_witness(self, text: str) -> Word:
         from .amalgam import AmalgamPresentation, flatten_to_free, parse_amalgam_word
-        from .words import parse_word
 
         if isinstance(self.source, AmalgamPresentation):
             amalgam = parse_amalgam_word(text, self.source)

@@ -14,6 +14,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .action_graph import (
     FiniteQuotient,
+    Perm,
     element_order,
     graph_disjoint_union,
     identity_perm,
@@ -23,6 +24,7 @@ from .action_graph import (
 from .budget import Budget, as_budget
 from .errors import BudgetExceeded, PreconditionError
 from .surgery import (
+    _UNITRIANGULAR_LADDER,
     TruncatedUnitGroup,
     abelian_power_graph,
     exact_order_quotient,
@@ -484,7 +486,6 @@ def _dedupe_words(words) -> Tuple[Word, ...]:
 
 
 _ABELIAN_LEVELS = 5
-_UNITRIANGULAR_LADDER = [(2, 1), (2, 2), (3, 1), (2, 3), (3, 2)]
 _LADDER_DEGREE_CAP = 8000
 
 
@@ -496,7 +497,8 @@ def p_quotient_ladder(basis: Basis, p: int, budget: Budget):
             break
         budget.charge(degree, "abelian ladder graph")
         yield abelian_power_graph(basis, p**m)
-    for d, m in _UNITRIANGULAR_LADDER:
+    # the last rung, (4, 1), would only add budget to searches that fail anyway
+    for d, m in _UNITRIANGULAR_LADDER[:5]:
         group = TruncatedUnitGroup(basis.rank, p, m, d)
         try:
             yield group.cayley_graph(basis, _LADDER_DEGREE_CAP, budget)
@@ -512,12 +514,7 @@ def _separating_quotient(
     outside = [el for el in delta if syllable_membership(el, gen_word) is None]
     for graph in p_quotient_ladder(basis, p, budget):
         budget.charge(1, "separation candidate")
-        a_img = image_perm(graph, gen_word)
-        a_powers = set()
-        cur = identity_perm(graph.degree)
-        while cur not in a_powers:
-            a_powers.add(cur)
-            cur = tuple(a_img[j] for j in cur)
+        a_powers = _powers(image_perm(graph, gen_word))
         ident = identity_perm(graph.degree)
         ok = True
         for el in delta:
@@ -531,6 +528,16 @@ def _separating_quotient(
         if ok:
             return FiniteQuotient(graph, basis, {})
     raise BudgetExceeded("no separating quotient in the ladder")
+
+
+def _powers(p: Perm) -> set:
+    """The cyclic group <p>, as a set of permutations."""
+    powers = set()
+    cur = identity_perm(len(p))
+    while cur not in powers:
+        powers.add(cur)
+        cur = tuple(p[j] for j in cur)
+    return powers
 
 
 def check_matched_pair(
@@ -547,12 +554,7 @@ def check_matched_pair(
         return False
     for quot, gen, delta in ((phi, pres.a, delta_a), (psi, pres.b, delta_b)):
         ident = identity_perm(quot.graph.degree)
-        g_img = image_perm(quot.graph, gen)
-        powers = set()
-        cur = ident
-        while cur not in powers:
-            powers.add(cur)
-            cur = tuple(g_img[j] for j in cur)
+        powers = _powers(image_perm(quot.graph, gen))
         for el in delta:
             img = image_perm(quot.graph, el)
             if img == ident:

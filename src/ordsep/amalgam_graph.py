@@ -10,16 +10,24 @@ two input words acquire images of different orders.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd, lcm
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .action_graph import (
     ActionGraph,
     FiniteQuotient,
+    bfs_closure,
     compose,
     element_order,
+    graph_disjoint_union,
+    graph_from_json,
+    graph_to_json,
     image_perm,
     invert,
+    longest_orbit,
     perm_orbits,
+    quotient_from_json,
+    quotient_to_json,
     validate,
 )
 from .amalgam import (
@@ -30,6 +38,8 @@ from .amalgam import (
     cyclically_reduce_amalgam,
     flatten_to_free,
     matched_pair,
+    presentation_from_json,
+    presentation_to_json,
     reduce_amalgam,
     syllable_membership,
     union_basis,
@@ -41,7 +51,7 @@ from .errors import (
     UndecidedConjugacy,
     ValidationError,
 )
-from .surgery import equalize_orders, exact_order_quotient, is_prime
+from .surgery import equalize_orders, exact_order_quotient, next_prime
 from .words import (
     Basis,
     Word,
@@ -52,31 +62,22 @@ from .words import (
     reduce,
 )
 
-_GROUP_CAP = 4096
+# most elements a factor group (the permutation group a factor quotient
+# generates) may have: every glued vertex set is a multiple of its order
+_FACTOR_GROUP_CAP = 4096
 
 
 class PermGroup:
     """Closure of a permutation generating set, elements indexed in BFS order."""
 
-    def __init__(self, gens: Sequence[Tuple[int, ...]], cap: int = _GROUP_CAP):
-        degree = len(gens[0])
-        ident = tuple(range(degree))
+    def __init__(self, gens: Sequence[Tuple[int, ...]], cap: int = _FACTOR_GROUP_CAP):
         step = list(gens) + [invert(p) for p in gens]
-        self.elements: List[Tuple[int, ...]] = [ident]
-        self.index: Dict[Tuple[int, ...], int] = {ident: 0}
-        queue = [ident]
-        while queue:
-            cur = queue.pop(0)
-            for gp in step:
-                nxt = compose(cur, gp)
-                if nxt not in self.index:
-                    if len(self.elements) >= cap:
-                        raise BudgetExceeded(
-                            f"factor group exceeds closure cap {cap}", cap=cap
-                        )
-                    self.index[nxt] = len(self.elements)
-                    self.elements.append(nxt)
-                    queue.append(nxt)
+        self.elements: List[Tuple[int, ...]] = []
+        for e in bfs_closure(tuple(range(len(gens[0]))), step, compose):
+            if len(self.elements) >= cap:
+                raise BudgetExceeded(f"factor group exceeds closure cap {cap}", cap=cap)
+            self.elements.append(e)
+        self.index: Dict[Tuple[int, ...], int] = {e: i for i, e in enumerate(self.elements)}
 
     def __len__(self):
         return len(self.elements)
@@ -230,20 +231,8 @@ def validate_amalgam_graph(g: AmalgamActionGraph) -> None:
 def _cyclic_orbits(group: PermGroup, c_index: int, n: int) -> List[List[int]]:
     """Orbits of right multiplication by element ``c_index``, each listed from
     its minimal element id along successive powers."""
-    table = group.rmul_table(group.elements[c_index])
-    seen = [False] * len(group)
-    orbits = []
-    for e in range(len(group)):
-        if seen[e]:
-            continue
-        orbit = []
-        cur = e
-        while not seen[cur]:
-            seen[cur] = True
-            orbit.append(cur)
-            cur = table[cur]
-        assert len(orbit) == n, "subgroup orbit of unexpected size"
-        orbits.append(orbit)
+    orbits = perm_orbits(group.rmul_table(group.elements[c_index]))
+    assert all(len(orbit) == n for orbit in orbits), "subgroup orbit of unexpected size"
     return orbits
 
 
@@ -253,16 +242,10 @@ def canonical_gluing(
     group_a = PermGroup(quot_a.graph.perms)
     group_b = PermGroup(quot_b.graph.perms)
     n = element_order(quot_a.graph, pres.a)
-    size = _lcm(len(group_a), len(group_b))
+    size = lcm(len(group_a), len(group_b))
     k, l = size // len(group_a), size // len(group_b)
     t = size // n
     return GluingSpec(k, l, tuple(range(t)), (0,) * t)
-
-
-def _lcm(x, y):
-    from math import gcd
-
-    return x * y // gcd(x, y)
 
 
 def glue_quotient(
@@ -607,7 +590,7 @@ def gluing_candidates(
     k, l = base.k * scale, base.l * scale
     total = len(base.matching) * scale
     n_rot = element_order(quot_a.graph, pres.a)
-    strides = [s for s in range(1, total + 1) if _coprime(s, total)][:4]
+    strides = [s for s in range(1, total + 1) if gcd(s, total) == 1][:4]
     # distinct matchings first: products of same-matching gluings stay folded
     for rot in range(n_rot):
         for stride in strides:
@@ -619,12 +602,6 @@ def gluing_candidates(
         for rot in range(1, n_rot):
             rotations = tuple(rot if j == pos else 0 for j in range(total))
             yield GluingSpec(k, l, identity, rotations)
-
-
-def _coprime(a, b):
-    from math import gcd
-
-    return gcd(a, b) == 1
 
 
 # -- the separation engine --------------------------------------------------------
@@ -641,13 +618,7 @@ class SeparationResult:
 
 
 def smallest_admissible_prime(pres: AmalgamPresentation) -> int:
-    bound = max(len(reduce(pres.a)), len(reduce(pres.b)))
-    p = 2
-    while p <= bound:
-        p += 1
-        while not is_prime(p):
-            p += 1
-    return p
+    return next_prime(max(len(reduce(pres.a)), len(reduce(pres.b))))
 
 
 def _conjugate_into_subgroup(word: Word, gen: Word) -> Optional[int]:
@@ -669,12 +640,8 @@ def _bump_subgroup_order(
     dividing the separation witness where the two orders differ."""
     q = 2
     while avoid % q == 0:
-        q += 1
-        while not is_prime(q):
-            q += 1
+        q = next_prime(q)
     extra = exact_order_quotient(gen, q)
-    from .action_graph import graph_disjoint_union
-
     return FiniteQuotient(
         graph_disjoint_union([quot.graph, extra.graph]), basis, {}
     )
@@ -703,19 +670,10 @@ def _separate_in_factor(
         root2, t = primitive_root(w2)
         if conjugate_in_free(root1, root2) is None:
             t = -t
-        q = 2
-        while _val(s, q) == _val(t, q):
-            q += 1
-            while not is_prime(q):
-                q += 1
+        q = _distinct_prime(s, t)
         e = max(_val(s, q), _val(t, q)) + 1
         return exact_order_quotient(root1, q**e, budget)
-    exponents = [primitive_root(w)[1] for w in (w1, w2)]
-    p = 2
-    while p <= max(exponents):
-        p += 1
-        while not is_prime(p):
-            p += 1
+    p = next_prime(max(primitive_root(w)[1] for w in (w1, w2)))
     return equalize_orders([w1], w2, p, 1, budget).quotient
 
 
@@ -733,7 +691,6 @@ def separate_orders(
     v: AmalgamWord,
     pres: AmalgamPresentation,
     budget=None,
-    second_round: str = "squared",
 ) -> SeparationResult:
     """Finite quotient of the amalgam where u and v get different orders.
 
@@ -769,7 +726,7 @@ def separate_orders(
             u, v = v, u
             tu, tv = tv, tu
             log.append("swapped inputs: alternating word drives the engine")
-        return _case_general(u, cu, v, cv, pres, budget, log, second_round)
+        return _case_general(u, cu, v, cv, pres, budget, log)
 
     return _case_factor_elements(u, cu, v, cv, pres, budget, log)
 
@@ -884,12 +841,7 @@ def _case_factor_elements(u, cu, v, cv, pres, budget, log) -> SeparationResult:
     fb = flatten_to_free(pres, [("B", wb)])
     aw = flatten_to_free(pres, [("A", pres.a)])
     bw = flatten_to_free(pres, [("B", pres.b)])
-    exponents = [primitive_root(x)[1] for x in (fa, fb, aw, bw)]
-    p = 2
-    while p <= max(exponents):
-        p += 1
-        while not is_prime(p):
-            p += 1
+    p = next_prime(max(primitive_root(x)[1] for x in (fa, fb, aw, bw)))
     report = equalize_orders([fa, aw, bw], fb, p, 1, budget)
     big = report.quotient.graph
     rank_a = pres.basis_a.rank
@@ -904,18 +856,11 @@ def _case_factor_elements(u, cu, v, cv, pres, budget, log) -> SeparationResult:
 
 
 def _distinct_prime(o1: int, o2: int) -> int:
+    """The least prime at which the valuations of o1 and o2 differ."""
     q = 2
     while _val(o1, q) == _val(o2, q):
-        q += 1
-        while not is_prime(q):
-            q += 1
+        q = next_prime(q)
     return q
-
-
-def _val_gcd(o1, o2):
-    from math import gcd
-
-    return gcd(o1, o2)
 
 
 def _base_candidates(
@@ -949,7 +894,7 @@ def _base_candidates(
             yield f"product of gluings {i},{j}", aag_product(small[i], small[j])
 
 
-def _case_general(u, cu, v, cv, pres, budget, log, second_round) -> SeparationResult:
+def _case_general(u, cu, v, cv, pres, budget, log) -> SeparationResult:
     log.append("case: general alternating")
     cu = _rotate_to_a(cu)
     p = smallest_admissible_prime(pres)
@@ -977,19 +922,15 @@ def _case_general(u, cu, v, cv, pres, budget, log, second_round) -> SeparationRe
         raise BudgetExceeded("no gluing with near-vertex-free representatives")
 
     aag = base
-    perm = image_perm(aag.graph, wu)
-    anchor = min(min(o) for o in perm_orbits(perm) if len(o) == _max_orbit(perm))
-    n0 = _max_orbit(perm)
+    anchor, n0 = longest_orbit(image_perm(aag.graph, wu))
     cap = 4 * (u.total_letters() + v.total_letters())
     for round_no in range(1, cap + 1):
         if round_no == 1:
             copies = n0
         elif round_no == 2:
-            copies = n0 * n0 if second_round == "squared" else _max_orbit(
-                image_perm(aag.graph, wu)
-            )
+            copies = n0 * n0
         else:
-            copies = _max_orbit(image_perm(aag.graph, wu))
+            copies = longest_orbit(image_perm(aag.graph, wu))[1]
         budget.charge(aag.degree * copies, "splice round")
         aag = amalgam_splice(aag, cu, anchor, round_no - 1, copies)
         ou, ov = element_order(aag.graph, wu), element_order(aag.graph, wv)
@@ -1003,17 +944,10 @@ def _case_general(u, cu, v, cv, pres, budget, log, second_round) -> SeparationRe
     )
 
 
-def _max_orbit(perm) -> int:
-    return max(len(o) for o in perm_orbits(perm))
-
-
 # -- serialization ----------------------------------------------------------------
 
 
 def aag_to_json(g: AmalgamActionGraph) -> dict:
-    from .action_graph import graph_to_json, quotient_to_json
-    from .amalgam import presentation_to_json
-
     return {
         "graph": graph_to_json(g.graph),
         "presentation": presentation_to_json(g.pres),
@@ -1028,9 +962,6 @@ def aag_to_json(g: AmalgamActionGraph) -> dict:
 
 
 def aag_from_json(data: dict) -> AmalgamActionGraph:
-    from .action_graph import graph_from_json, quotient_from_json
-    from .amalgam import presentation_from_json
-
     pres = presentation_from_json(data["presentation"])
     quot_a = quotient_from_json(data["quot_a"])
     quot_b = quotient_from_json(data["quot_b"])

@@ -24,9 +24,6 @@ class Budget:
                 what=what,
             )
 
-    def remaining(self):
-        return max(0, self.limit - self.used)
-
 
 def as_budget(budget):
     """Coerce None | int | Budget into a Budget."""

@@ -56,15 +56,13 @@ def _budget(ctx) -> Budget:
 @click.group()
 @click.option("--budget", type=int, default=2_000_000, show_default=True,
               help="work cap: vertices created plus candidates tested")
-@click.option("--seed", type=int, default=0, show_default=True,
-              help="reserved for randomized fallbacks; deterministic paths ignore it")
 @click.option("--format", "fmt", type=click.Choice(["json", "text"]), default="text",
               show_default=True)
 @click.option("--prime", type=int, default=None, help="default prime for searches")
 @click.pass_context
-def cli(ctx, budget, seed, fmt, prime):
+def cli(ctx, budget, fmt, prime):
     """Finite quotients separating element orders in free groups and amalgams."""
-    ctx.obj = {"budget": budget, "seed": seed, "format": fmt, "prime": prime}
+    ctx.obj = {"budget": budget, "format": fmt, "prime": prime}
 
 
 @cli.command()

@@ -9,11 +9,13 @@ cap stay fast.
 from __future__ import annotations
 
 import itertools
+from math import lcm
 from typing import Dict, Iterator, Tuple
 
 import numpy as np
 
-from .action_graph import FiniteQuotient, element_order
+from .action_graph import ActionGraph, FiniteQuotient, element_order, record_orders
+from .amalgam import AmalgamPresentation, AmalgamWord, flatten_to_free, union_basis
 from .errors import CapExceeded, PreconditionError
 from .words import Basis, Word
 
@@ -35,8 +37,6 @@ def enumerate_free_homs(rank: int, n: int, cap: int = DEFAULT_CAP) -> Iterator[T
 
 def enumerate_amalgam_homs(pres, n: int, cap: int = DEFAULT_CAP) -> Iterator[Tuple]:
     """Tuples over the union basis admitting only image(a) == image(b)."""
-    from .amalgam import flatten_to_free, union_basis
-
     if n < 1 or n > cap:
         raise CapExceeded(f"degree {n} outside 1..{cap}", degree=n, cap=cap)
     basis = union_basis(pres)
@@ -79,10 +79,6 @@ def hom_order(images, w: Word) -> int:
 # -- vectorized separation scan ------------------------------------------------
 
 
-def _letters_as_axes(w: Word, axis_of) -> list:
-    return [(axis_of(gen), sign) for gen, sign in w.letters]
-
-
 def _batch_image(P, PINV, digits, letters, n):
     rows = digits[0].shape[0] if digits else 0
     cur = np.tile(np.arange(n, dtype=np.int64), (rows, 1))
@@ -110,13 +106,8 @@ def _batch_orders(img, max_order):
 
 
 def _max_order_bound(n):
-    # lcm(1..n); tiny for the degrees the oracle handles
-    from math import gcd
-
-    out = 1
-    for k in range(2, n + 1):
-        out = out * k // gcd(out, k)
-    return out
+    # tiny for the degrees the oracle handles
+    return lcm(*range(1, n + 1))
 
 
 def oracle_separate(u, v, target, n_max: int, cap: int = DEFAULT_CAP):
@@ -126,8 +117,6 @@ def oracle_separate(u, v, target, n_max: int, cap: int = DEFAULT_CAP):
     amalgam words (then only homs with image(a) == image(b) are admitted).
     Returns (n, {generator: perm}) or None when no hom exists up to n_max.
     """
-    from .amalgam import AmalgamPresentation, AmalgamWord, flatten_to_free, union_basis
-
     if n_max > cap:
         raise CapExceeded(f"n_max {n_max} above cap {cap}", cap=cap)
     constraints = []
@@ -232,8 +221,6 @@ def _scan_degree(basis, wu, wv, constraints, n):
 
 def oracle_consistency(engine_output: FiniteQuotient, u, v) -> str:
     """Recompute orders on the engine output and confirm the separation claim."""
-    from .amalgam import AmalgamPresentation, AmalgamWord, flatten_to_free
-
     graph = engine_output.graph
     pres = engine_output.source
     words = []
@@ -254,8 +241,6 @@ def oracle_consistency(engine_output: FiniteQuotient, u, v) -> str:
 
 def hom_to_quotient(basis: Basis, hom: Dict[str, tuple], witnesses=()) -> FiniteQuotient:
     """Package an oracle hom as a FiniteQuotient over its graph."""
-    from .action_graph import ActionGraph, record_orders
-
     n = len(next(iter(hom.values())))
     graph = ActionGraph(basis, n, tuple(tuple(hom[name]) for name in basis.names))
     q = FiniteQuotient(graph, basis, {})

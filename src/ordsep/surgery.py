@@ -12,17 +12,22 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from math import gcd
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .action_graph import (
     ActionGraph,
     FiniteQuotient,
+    bfs_closure,
+    compose,
     element_order,
     graph_disjoint_union,
     has_l_near,
+    identity_perm,
     image_perm,
     invert,
+    longest_orbit,
     perm_orbits,
+    perm_order,
     record_orders,
     u_cycles,
     validate,
@@ -49,6 +54,14 @@ def is_prime(p: int) -> bool:
             return False
         d += 1
     return True
+
+
+def next_prime(n: int) -> int:
+    """The least prime greater than n."""
+    q = n + 1
+    while not is_prime(q):
+        q += 1
+    return q
 
 
 # -- the splice ----------------------------------------------------------------
@@ -91,16 +104,8 @@ def splice(g: ActionGraph, spec: SpliceSpec) -> ActionGraph:
             code="EDGE_NOT_ON_CYCLE",
         )
 
-    inverses = {gen: invert(g.perms[gen]) for gen, sign in set(w.letters) if sign < 0}
-    v = spec.cycle_start
-    for pos in range(spec.edge_index):
-        gen, sign = w.letters[pos % len(w)]
-        v = g.perms[gen][v] if sign > 0 else inverses[gen][v]
-    gen, sign = w.letters[spec.edge_index % len(w)]
-    if sign > 0:
-        src = v
-    else:
-        src = inverses[gen][v]
+    gen, src = _cut_edge_key(g, w, spec.cycle_start, spec.edge_index)
+    sign = w.letters[spec.edge_index % len(w)][1]
     dst = g.perms[gen][src]
 
     n, p = g.degree, spec.copies
@@ -207,24 +212,17 @@ class TruncatedUnitGroup:
         return k
 
     def closure(self, cap: int, budget: Budget) -> List[Tuple[int, ...]]:
+        """Elements in BFS order; one budget unit per element past the
+        identity, charged before the cap check."""
         gens = [self.gen(i) for i in range(self.rank)]
         gens += [self.gen_inv(i) for i in range(self.rank)]
-        elems = [self.identity]
-        index = {self.identity: 0}
-        queue = [self.identity]
-        while queue:
-            cur = queue.pop(0)
-            for gperm in gens:
-                nxt = self.mult(cur, gperm)
-                if nxt not in index:
-                    index[nxt] = len(elems)
-                    elems.append(nxt)
-                    queue.append(nxt)
-                    budget.charge(1, "unitriangular closure")
-                    if len(elems) > cap:
-                        raise BudgetExceeded(
-                            f"unitriangular group above cap {cap}", cap=cap
-                        )
+        elems = []
+        for e in bfs_closure(self.identity, gens, self.mult):
+            if elems:
+                budget.charge(1, "unitriangular closure")
+                if len(elems) >= cap:
+                    raise BudgetExceeded(f"unitriangular group above cap {cap}", cap=cap)
+            elems.append(e)
         return elems
 
     def cayley_graph(self, basis: Basis, cap: int, budget: Budget) -> ActionGraph:
@@ -235,27 +233,6 @@ class TruncatedUnitGroup:
             gperm = self.gen(i)
             perms.append(tuple(index[self.mult(e, gperm)] for e in elems))
         return ActionGraph(basis, len(elems), tuple(perms))
-
-
-def group_closure_of_perms(perms: Sequence[Tuple[int, ...]], cap: int) -> Optional[list]:
-    """BFS closure of a permutation generating set; None when above cap."""
-    n = len(perms[0])
-    ident = tuple(range(n))
-    gens = list(perms) + [invert(p) for p in perms]
-    elems = [ident]
-    index = {ident: 0}
-    queue = [ident]
-    while queue:
-        cur = queue.pop(0)
-        for gp in gens:
-            nxt = tuple(gp[cur[v]] for v in range(n))
-            if nxt not in index:
-                if len(elems) >= cap:
-                    return None
-                index[nxt] = len(elems)
-                elems.append(nxt)
-                queue.append(nxt)
-    return elems
 
 
 # -- quotients with no near vertices -------------------------------------------
@@ -288,8 +265,14 @@ def _graph_words_ok(g: ActionGraph, words, l: int, min_order: int) -> bool:
     return True
 
 
+# (truncation degree d, exponent m) of the unitriangular groups over Z/p^m,
+# in the order they are tried
 _UNITRIANGULAR_LADDER = [(2, 1), (2, 2), (3, 1), (2, 3), (3, 2), (4, 1)]
-_GROUP_CAP = 20000
+# most elements a unitriangular group may have here: its regular
+# representation, one vertex per element, is the graph that gets built
+_REGULAR_REP_CAP = 20000
+# most elements of a small p-group action's closure in the last-resort search
+_P_ACTION_GROUP_CAP = 512
 
 
 def find_simple_quotient(
@@ -345,21 +328,23 @@ def find_simple_quotient(
         budget.charge(1, "unitriangular candidate")
         group = TruncatedUnitGroup(rank, p, m, d)
         try:
-            g = group.cayley_graph(basis, _GROUP_CAP, budget)
+            g = group.cayley_graph(basis, _REGULAR_REP_CAP, budget)
         except BudgetExceeded:
             continue
         if _graph_words_ok(g, words, l, min_order):
             q = FiniteQuotient(g, basis, {})
             return record_orders(q, words)
 
-    # bounded enumeration of small p-group actions (last-resort fallback)
-    for degree in (p, 2 * p, p * p):
-        if degree > 8:
+    # bounded enumeration of small p-group actions (last-resort fallback);
+    # every element of a p-group on d points has order at most d, so a
+    # degree below min_order cannot qualify
+    for degree in sorted({p, 2 * p, p * p}):
+        if degree > 8 or degree < min_order:
             continue
         pool = [
             perm
             for perm in itertools.permutations(range(degree))
-            if _is_p_power(_perm_order_tuple(perm), p)
+            if _is_p_power(perm_order(perm), p)
         ]
         tried = 0
         for images in itertools.product(pool, repeat=rank):
@@ -367,8 +352,10 @@ def find_simple_quotient(
             if tried > 5000:
                 break
             budget.charge(1, "p-action candidate")
-            closure = group_closure_of_perms(images, 512)
-            if closure is None or not _is_p_power(len(closure), p):
+            gens = list(images) + [invert(perm) for perm in images]
+            closure = bfs_closure(identity_perm(degree), gens, compose)
+            size = sum(1 for _ in itertools.islice(closure, _P_ACTION_GROUP_CAP + 1))
+            if size > _P_ACTION_GROUP_CAP or not _is_p_power(size, p):
                 continue
             g = ActionGraph(basis, degree, tuple(images))
             if _graph_words_ok(g, words, l, min_order):
@@ -376,12 +363,6 @@ def find_simple_quotient(
                 return record_orders(q, words)
 
     raise BudgetExceeded("no qualifying quotient in the candidate family")
-
-
-def _perm_order_tuple(perm) -> int:
-    from .action_graph import perm_order
-
-    return perm_order(tuple(perm))
 
 
 def _is_p_power(n: int, p: int) -> bool:
@@ -432,19 +413,9 @@ def _cycle_lengths_through(g: ActionGraph, w: Word, edge_key) -> Tuple[int, int]
     return max_through, max_avoiding
 
 
-def _maximal_cycle_anchor(g: ActionGraph, w: Word) -> int:
-    """Smallest start vertex among maximal-length w-cycles."""
-    p_img = image_perm(g, w)
-    best = None
-    best_len = 0
-    for orbit in perm_orbits(p_img):
-        if len(orbit) > best_len:
-            best_len = len(orbit)
-            best = orbit[0]
-    return best
-
-
 def _cut_edge_key(g: ActionGraph, w: Word, anchor: int, index: int):
+    """(gen, src) of the positive edge under position ``index`` of the
+    representative of w that starts at ``anchor``."""
     inverses = {gen: invert(g.perms[gen]) for gen, sign in set(w.letters) if sign < 0}
     v = anchor
     for pos in range(index):
@@ -466,7 +437,7 @@ def _grow_until_watcher_diverges(g, w_spl, watchers, p, budget):
     Returns (graph_before_final_splice, anchor, splices_done, failing_key).
     The caller performs the final splice itself, usually with boosted copies.
     """
-    anchor = _maximal_cycle_anchor(g, w_spl)
+    anchor, _ = longest_orbit(image_perm(g, w_spl))
     k = 0
     while True:
         cut = _cut_edge_key(g, w_spl, anchor, k)
@@ -710,7 +681,7 @@ def _prime_power_component(w: Word, q: int, a: int, budget: Budget) -> ActionGra
         group = TruncatedUnitGroup(small_basis.rank, q, m, e_deg)
         order = group.element_order(group.word_image(small_w))
         if order == q**a:
-            small_graph = group.cayley_graph(small_basis, _GROUP_CAP, budget)
+            small_graph = group.cayley_graph(small_basis, _REGULAR_REP_CAP, budget)
             return _lift_graph(small_graph, w.basis, support)
         if order > q**a:
             break

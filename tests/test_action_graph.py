@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from ordsep.action_graph import (
     ActionGraph,
-    distance,
+    compose,
     element_order,
     graph_from_json,
     graph_to_dot,
@@ -14,13 +14,18 @@ from ordsep.action_graph import (
     has_l_near,
     identity_perm,
     image_perm,
+    invert,
     is_valid,
+    longest_orbit,
     perm_order,
     quotient_from_json,
     u_cycles,
     validate,
 )
-from ordsep.errors import PreconditionError, ValidationError
+from ordsep.amalgam_graph import PermGroup
+from ordsep.budget import Budget
+from ordsep.errors import BudgetExceeded, PreconditionError, ValidationError
+from ordsep.surgery import TruncatedUnitGroup
 from ordsep.words import Basis, Word, parse_word
 
 XY = Basis(("x", "y"))
@@ -40,7 +45,6 @@ def cyclic_graph(n, ex=1, ey=0):
 
 Z3 = cyclic_graph(3)
 Z4 = cyclic_graph(4)
-Z5 = cyclic_graph(5)
 Z6 = cyclic_graph(6)
 
 # disjoint union of a 2-shift and a 3-shift on x; y trivial
@@ -109,16 +113,6 @@ def test_element_order_examples():
     assert element_order(Z2_X_Z3, w("x")) == 6
     assert element_order(Z3, w("1")) == 1
     assert element_order(Z4, w("x x")) == 2
-
-
-def test_distance_examples():
-    assert distance(Z5, 0, 0) == 0
-    assert distance(Z5, 0, 1) == 1
-    assert distance(Z5, 0, 2) == 2
-
-
-def test_distance_unreachable():
-    assert distance(Z2_X_Z3, 0, 2) is None
 
 
 def test_has_l_near_examples():
@@ -245,3 +239,54 @@ def test_perm_order_matches_power_iteration():
             q = tuple(p[q[v]] for v in range(n))
             k += 1
         assert perm_order(p) == k
+
+
+def test_longest_orbit_prefers_the_smallest_start():
+    # orbits {0}, {1, 2}, {3, 4}: two of length 2, the first starts at 1
+    assert longest_orbit((0, 2, 1, 4, 3)) == (1, 2)
+    assert longest_orbit(identity_perm(3)) == (0, 1)
+
+
+def _list_bfs(identity, gens, mult):
+    """Reference closure: breadth first with a plain list as the queue."""
+    elems, queue = [identity], [identity]
+    while queue:
+        cur = queue.pop(0)
+        for g in gens:
+            nxt = mult(cur, g)
+            if nxt not in elems:
+                elems.append(nxt)
+                queue.append(nxt)
+    return elems
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [((1, 0, 2), (0, 2, 1)), ((1, 2, 0), (1, 0, 2)), ((1, 2, 3, 0), (1, 0, 2, 3))],
+    ids=["S3-transpositions", "S3-cycle", "S4"],
+)
+def test_perm_group_closure_matches_list_bfs(gens):
+    step = list(gens) + [invert(p) for p in gens]
+    want = _list_bfs(identity_perm(len(gens[0])), step, compose)
+    group = PermGroup(gens)
+    assert group.elements == want
+    assert group.index == {e: i for i, e in enumerate(want)}
+    assert PermGroup(gens, cap=len(want)).elements == want
+    with pytest.raises(BudgetExceeded):
+        PermGroup(gens, cap=len(want) - 1)
+
+
+def test_unitriangular_cayley_graph_matches_list_bfs():
+    group = TruncatedUnitGroup(2, 2, 1, 2)
+    gens = [group.gen(i) for i in range(2)] + [group.gen_inv(i) for i in range(2)]
+    elems = _list_bfs(group.identity, gens, group.mult)
+    index = {e: i for i, e in enumerate(elems)}
+    want = tuple(tuple(index[group.mult(e, group.gen(i))] for e in elems) for i in range(2))
+    budget = Budget()
+    assert group.cayley_graph(XY, len(elems), budget).perms == want
+    assert budget.used == len(elems) - 1  # one unit per element past the identity
+    for cap in (len(elems) - 1, 3):
+        budget = Budget()
+        with pytest.raises(BudgetExceeded):
+            group.cayley_graph(XY, cap, budget)
+        assert budget.used == cap  # charged before the cap check

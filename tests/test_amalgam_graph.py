@@ -349,11 +349,3 @@ def test_aag_json_round_trip():
     assert loaded.graph == aag.graph
     assert loaded.a_block == aag.a_block and loaded.b_elem == aag.b_elem
     assert loaded.n == aag.n
-
-
-def test_separate_second_round_flag():
-    res = separate_orders(
-        aw("A:{y} B:{t}"), aw("A:{y y} B:{t}"), PRES, second_round="linear"
-    )
-    orders = list(res.quotient.witness_orders.values())
-    assert orders[0] != orders[1]

@@ -141,6 +141,18 @@ def test_budget_exit_code(capsys):
     assert "BUDGET_EXCEEDED" in err
 
 
+def test_small_budget_surfaces_as_undecided_conjugacy(capsys, pres_file):
+    # the conjugacy precheck draws on the caller's budget, so it runs out
+    # before any construction starts
+    code, out, err = run(
+        capsys, "--budget", "3", "separate", "--presentation", pres_file,
+        "A:{y} B:{t}", "A:{y y} B:{t}",
+    )
+    assert code == 4
+    assert out == ""
+    assert "UNDECIDED_CONJUGACY" in err
+
+
 def test_oracle_command(capsys, pres_file):
     code, out, _ = run(capsys, "--format", "json", "oracle", "--nmax", "3", "x", "y")
     assert code == 0

@@ -1,6 +1,8 @@
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from ordsep.action_graph import (
     ActionGraph,
@@ -10,6 +12,7 @@ from ordsep.action_graph import (
     u_cycles,
     validate,
 )
+from ordsep.amalgam_graph import _distinct_prime
 from ordsep.budget import Budget
 from ordsep.errors import BudgetExceeded, PreconditionError
 from ordsep.surgery import (
@@ -23,6 +26,7 @@ from ordsep.surgery import (
     find_simple_quotient,
     is_prime,
     magnus_coefficients,
+    next_prime,
     splice,
 )
 from ordsep.words import Basis, Word, parse_word
@@ -331,3 +335,57 @@ def test_budget_exhaustion_is_reported():
 
 def test_is_prime():
     assert [p for p in range(20) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19]
+
+
+def _prime_by_trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, n))
+
+
+def _valuation(n, q):
+    v = 0
+    while n % q == 0:
+        n //= q
+        v += 1
+    return v
+
+
+@given(st.integers(0, 500))
+def test_next_prime_is_the_least_prime_above(n):
+    q = next_prime(n)
+    assert q > n and _prime_by_trial_division(q)
+    assert not any(_prime_by_trial_division(k) for k in range(n + 1, q))
+
+
+@given(st.integers(1, 5000), st.integers(1, 5000))
+def test_distinct_prime_is_the_least_prime_where_valuations_differ(a, b):
+    assume(a != b)
+    q = _distinct_prime(a, b)
+    assert _prime_by_trial_division(q)
+    assert _valuation(a, q) != _valuation(b, q)
+    assert all(
+        _valuation(a, r) == _valuation(b, r)
+        for r in range(2, q)
+        if _prime_by_trial_division(r)
+    )
+
+
+class _TaggedBudget(Budget):
+    def __init__(self):
+        super().__init__()
+        self.by_tag = Counter()
+
+    def charge(self, amount=1, what="work"):
+        self.by_tag[what] += amount
+        super().charge(amount, what)
+
+
+@pytest.mark.parametrize(
+    "us, v, floor", [(["x", "y"], "x y", 256), (["x y", "x y^-1"], "x", 64)]
+)
+def test_p_action_fallback_skips_degrees_below_min_order(us, v, floor):
+    # every element of a p-group on d <= 8 points has order <= 8 < floor + 1
+    budget = _TaggedBudget()
+    with pytest.raises(BudgetExceeded) as exc:
+        equalize_orders([w(u) for u in us], w(v), 2, floor, budget)
+    assert exc.value.code == "BUDGET_EXCEEDED"
+    assert budget.by_tag["p-action candidate"] == 0
