@@ -10,6 +10,7 @@ two input words acquire images of different orders.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import gcd, lcm
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -33,6 +34,7 @@ from .action_graph import (
 from .amalgam import (
     AmalgamPresentation,
     AmalgamWord,
+    _classify_core,
     amalgam_word_to_text,
     conjugate_in_amalgam,
     cyclically_reduce_amalgam,
@@ -41,7 +43,6 @@ from .amalgam import (
     presentation_from_json,
     presentation_to_json,
     reduce_amalgam,
-    syllable_membership,
     union_basis,
 )
 from .budget import Budget, as_budget
@@ -87,6 +88,53 @@ class PermGroup:
         return [self.index[compose(e, perm)] for e in self.elements]
 
 
+@dataclass(frozen=True, eq=False)
+class Factor:
+    """One side of a gluing, built once per factor quotient: the quotient,
+    the group its generators generate, each generator's right-multiplication
+    table on the group's element ids, and the orbits of right multiplication
+    by the subgroup generator, each listed from its least id along powers."""
+
+    quot: FiniteQuotient
+    group: PermGroup
+    tables: Tuple[List[int], ...]
+    orbits: List[List[int]]
+
+
+def _factor(quot: FiniteQuotient, gen: Word) -> Factor:
+    group = PermGroup(quot.graph.perms)
+    return Factor(
+        quot,
+        group,
+        tuple(group.rmul_table(p) for p in quot.graph.perms),
+        perm_orbits(group.rmul_table(image_perm(quot.graph, gen))),
+    )
+
+
+def factor_pair(
+    pres: AmalgamPresentation, quot_a: FiniteQuotient, quot_b: FiniteQuotient
+) -> Tuple[Factor, Factor]:
+    """Both sides' factor data for one quotient pair; every gluing of the
+    pair, and every graph derived from one, shares it."""
+    fa, fb = _factor(quot_a, pres.a), _factor(quot_b, pres.b)
+    n, nb = len(fa.orbits[0]), len(fb.orbits[0])
+    if n != nb or n <= 1:
+        raise PreconditionError(
+            f"subgroup generator orders {n} and {nb} must match and exceed 1",
+            code="ORDER_MISMATCH",
+        )
+    return fa, fb
+
+
+def _block_perms(
+    block: Sequence[int], elem: Sequence[int], tables: Sequence[Sequence[int]]
+) -> List[Tuple[int, ...]]:
+    """Vertex permutation of each element-id table acting on the element
+    coordinate inside its block."""
+    vertex = {c: v for v, c in enumerate(zip(block, elem))}
+    return [tuple(vertex[(b, table[e])] for b, e in zip(block, elem)) for table in tables]
+
+
 @dataclass(frozen=True)
 class GluingSpec:
     """How to lay B-blocks over A-blocks: per subgroup orbit of the B side,
@@ -103,117 +151,80 @@ class AmalgamActionGraph:
         self,
         pres: AmalgamPresentation,
         graph: ActionGraph,
-        quot_a: FiniteQuotient,
-        quot_b: FiniteQuotient,
-        group_a: PermGroup,
-        group_b: PermGroup,
+        factor_a: Factor,
+        factor_b: Factor,
         a_block: Sequence[int],
         a_elem: Sequence[int],
         b_block: Sequence[int],
         b_elem: Sequence[int],
-        n: int,
     ):
         self.pres = pres
         self.graph = graph
-        self.quot_a = quot_a
-        self.quot_b = quot_b
-        self.group_a = group_a
-        self.group_b = group_b
+        self.factor_a = factor_a
+        self.factor_b = factor_b
         self.a_block = tuple(a_block)
         self.a_elem = tuple(a_elem)
         self.b_block = tuple(b_block)
         self.b_elem = tuple(b_elem)
-        self.n = n
-        self._cache: Dict[str, object] = {}
 
     @property
     def degree(self) -> int:
         return self.graph.degree
 
-    def vertex_lookup(self, side: str) -> Dict[Tuple[int, int], int]:
-        key = f"lookup_{side}"
-        if key not in self._cache:
-            block = self.a_block if side == "A" else self.b_block
-            elem = self.a_elem if side == "A" else self.b_elem
-            self._cache[key] = {
-                (block[v], elem[v]): v for v in range(self.degree)
-            }
-        return self._cache[key]
+    @property
+    def n(self) -> int:
+        """Order of the amalgamated subgroup's image."""
+        return len(self.factor_a.orbits[0])
 
     def act(self, side: str, elem_id: int) -> Tuple[int, ...]:
         """Permutation of the vertices by one abstract factor-group element."""
-        group = self.group_a if side == "A" else self.group_b
-        block = self.a_block if side == "A" else self.b_block
-        elem = self.a_elem if side == "A" else self.b_elem
-        lookup = self.vertex_lookup(side)
-        table = group.rmul_table(group.elements[elem_id])
-        return tuple(lookup[(block[v], table[elem[v]])] for v in range(self.degree))
+        factor, block, elem = (
+            (self.factor_a, self.a_block, self.a_elem)
+            if side == "A"
+            else (self.factor_b, self.b_block, self.b_elem)
+        )
+        group = factor.group
+        return _block_perms(block, elem, [group.rmul_table(group.elements[elem_id])])[0]
 
-    def subgroup_perm(self) -> Tuple[int, ...]:
-        if "c_perm" not in self._cache:
-            self._cache["c_perm"] = image_perm(
-                self.graph, flatten_to_free(self.pres, [("A", self.pres.a)])
-            )
-        return self._cache["c_perm"]
-
+    @cached_property
     def c_orbit_ids(self) -> Tuple[int, ...]:
         """Vertex -> id of its orbit under the amalgamated subgroup image."""
-        if "c_ids" not in self._cache:
-            ids = [-1] * self.degree
-            for oid, orbit in enumerate(perm_orbits(self.subgroup_perm())):
-                for v in orbit:
-                    ids[v] = oid
-            self._cache["c_ids"] = tuple(ids)
-        return self._cache["c_ids"]
+        c_perm = image_perm(self.graph, flatten_to_free(self.pres, [("A", self.pres.a)]))
+        ids = [-1] * self.degree
+        for oid, orbit in enumerate(perm_orbits(c_perm)):
+            for v in orbit:
+                ids[v] = oid
+        return tuple(ids)
+
+    @cached_property
+    def inverse_perms(self) -> Tuple[Tuple[int, ...], ...]:
+        return tuple(invert(p) for p in self.graph.perms)
 
     def factor_of(self, gen_name: str) -> str:
         return "A" if gen_name in self.pres.basis_a.names else "B"
-
-    def inv_perm(self, gi: int) -> Tuple[int, ...]:
-        key = f"inv_{gi}"
-        if key not in self._cache:
-            self._cache[key] = invert(self.graph.perms[gi])
-        return self._cache[key]
 
 
 def validate_amalgam_graph(g: AmalgamActionGraph) -> None:
     """Both factor structures must be free regular actions through the stored
     block coordinates, realized by the graph, and agreeing on the subgroup."""
     validate(g.graph)
-    for side, group, block, elem, basis in (
-        ("A", g.group_a, g.a_block, g.a_elem, g.pres.basis_a),
-        ("B", g.group_b, g.b_block, g.b_elem, g.pres.basis_b),
+    for side, factor, block, elem, basis in (
+        ("A", g.factor_a, g.a_block, g.a_elem, g.pres.basis_a),
+        ("B", g.factor_b, g.b_block, g.b_elem, g.pres.basis_b),
     ):
-        coords = set(zip(block, elem))
-        if len(coords) != g.degree:
+        # (block, element) coordinates: each cell of the grid
+        # range(blocks) x range(|G|) names exactly one vertex
+        size = len(factor.group)
+        grid = {(b, e) for b in range(g.degree // size) for e in range(size)}
+        if not len(block) == len(elem) == len(grid) == g.degree or set(zip(block, elem)) != grid:
             raise ValidationError(
-                f"side {side} action identifies two vertices",
+                f"side {side} coordinates do not name each block cell once",
                 code="NOT_FREE",
                 side=side,
             )
-        blocks = max(block) + 1
-        if blocks * len(group) != g.degree:
-            raise ValidationError(
-                f"side {side} blocks do not tile the vertex set",
-                code="NOT_FREE",
-                side=side,
-            )
-        lookup = {(b, e): v for v, (b, e) in enumerate(zip(block, elem))}
-        quot = g.quot_a if side == "A" else g.quot_b
+        expected = _block_perms(block, elem, factor.tables)
         for gi, name in enumerate(basis.names):
-            gen_perm = quot.graph.perms[gi]
-            if gen_perm not in group.index:
-                raise ValidationError(
-                    f"generator {name} missing from the side {side} group",
-                    code="NOT_ACTION",
-                    side=side,
-                )
-            table = group.rmul_table(gen_perm)
-            expected = tuple(
-                lookup[(block[v], table[elem[v]])] for v in range(g.degree)
-            )
-            actual = g.graph.perms[g.graph.basis.index(name)]
-            if expected != actual:
+            if expected[gi] != g.graph.perms[g.graph.basis.index(name)]:
                 raise ValidationError(
                     f"graph does not realize the side {side} action on {name}",
                     code="NOT_ACTION",
@@ -228,46 +239,24 @@ def validate_amalgam_graph(g: AmalgamActionGraph) -> None:
         )
 
 
-def _cyclic_orbits(group: PermGroup, c_index: int, n: int) -> List[List[int]]:
-    """Orbits of right multiplication by element ``c_index``, each listed from
-    its minimal element id along successive powers."""
-    orbits = perm_orbits(group.rmul_table(group.elements[c_index]))
-    assert all(len(orbit) == n for orbit in orbits), "subgroup orbit of unexpected size"
-    return orbits
-
-
-def canonical_gluing(
-    pres: AmalgamPresentation, quot_a: FiniteQuotient, quot_b: FiniteQuotient
-) -> GluingSpec:
-    group_a = PermGroup(quot_a.graph.perms)
-    group_b = PermGroup(quot_b.graph.perms)
-    n = element_order(quot_a.graph, pres.a)
-    size = lcm(len(group_a), len(group_b))
-    k, l = size // len(group_a), size // len(group_b)
-    t = size // n
+def canonical_gluing(fa: Factor, fb: Factor) -> GluingSpec:
+    size = lcm(len(fa.group), len(fb.group))
+    k, l = size // len(fa.group), size // len(fb.group)
+    t = k * len(fa.orbits)
     return GluingSpec(k, l, tuple(range(t)), (0,) * t)
 
 
 def glue_quotient(
     pres: AmalgamPresentation,
-    quot_a: FiniteQuotient,
-    quot_b: FiniteQuotient,
+    fa: Factor,
+    fb: Factor,
     spec: GluingSpec,
     budget=None,
 ) -> AmalgamActionGraph:
     """Assemble the amalgam action: k regular A-blocks, B-action transported
     through the orbit matching with the given rotations."""
     budget = as_budget(budget)
-    n = element_order(quot_a.graph, pres.a)
-    nb = element_order(quot_b.graph, pres.b)
-    if n != nb or n <= 1:
-        raise PreconditionError(
-            f"subgroup generator orders {n} and {nb} must match and exceed 1",
-            code="ORDER_MISMATCH",
-        )
-    group_a = PermGroup(quot_a.graph.perms)
-    group_b = PermGroup(quot_b.graph.perms)
-    size_a, size_b = len(group_a), len(group_b)
+    size_a, size_b = len(fa.group), len(fb.group)
     if spec.k * size_a != spec.l * size_b or spec.k < 1:
         raise PreconditionError(
             f"{spec.k} A-blocks of {size_a} cannot match {spec.l} B-blocks of {size_b}",
@@ -276,11 +265,8 @@ def glue_quotient(
     degree = spec.k * size_a
     budget.charge(degree, "glued graph")
 
-    c_a = group_a.index[image_perm(quot_a.graph, pres.a)]
-    c_b = group_b.index[image_perm(quot_b.graph, pres.b)]
-    orbits_a = _cyclic_orbits(group_a, c_a, n)
-    orbits_b = _cyclic_orbits(group_b, c_b, n)
-    per_a, per_b = len(orbits_a), len(orbits_b)
+    n = len(fa.orbits[0])
+    per_a, per_b = len(fa.orbits), len(fb.orbits)
     total = spec.k * per_a
     if total != spec.l * per_b or len(spec.matching) != total or len(
         spec.rotations
@@ -291,48 +277,25 @@ def glue_quotient(
     if any(not 0 <= r < n for r in spec.rotations):
         raise PreconditionError("rotation out of range", code="SPEC_INVALID")
 
-    a_block = [0] * degree
-    a_elem = [0] * degree
-    for blk in range(spec.k):
-        for e in range(size_a):
-            v = blk * size_a + e
-            a_block[v], a_elem[v] = blk, e
-
-    # A-side orbit index: block-major, then orbit order within the block
-    def a_orbit_vertex(orbit_index: int, t: int) -> int:
-        blk, local = divmod(orbit_index, per_a)
-        eid = orbits_a[local][t % n]
-        return blk * size_a + eid
-
+    a_block = [v // size_a for v in range(degree)]
+    a_elem = [v % size_a for v in range(degree)]
+    # A-side orbit index: block-major, then orbit order within the block;
+    # B-orbit j lies along A-orbit matching[j], shifted by rotations[j]
     b_block = [-1] * degree
     b_elem = [-1] * degree
     for j in range(total):
         blk_b, local_b = divmod(j, per_b)
-        orbit_b = orbits_b[local_b]
-        target = spec.matching[j]
-        rot = spec.rotations[j]
+        blk_a, local_a = divmod(spec.matching[j], per_a)
+        orbit_a, orbit_b = fa.orbits[local_a], fb.orbits[local_b]
         for t in range(n):
-            v = a_orbit_vertex(target, t + rot)
+            v = blk_a * size_a + orbit_a[(t + spec.rotations[j]) % n]
             b_block[v], b_elem[v] = blk_b, orbit_b[t]
 
-    lookup_b = {(b_block[v], b_elem[v]): v for v in range(degree)}
-    basis = union_basis(pres)
-    perms = []
-    for gi in range(pres.basis_a.rank):
-        table = group_a.rmul_table(quot_a.graph.perms[gi])
-        perms.append(
-            tuple(a_block[v] * size_a + table[a_elem[v]] for v in range(degree))
-        )
-    for gi in range(pres.basis_b.rank):
-        table = group_b.rmul_table(quot_b.graph.perms[gi])
-        perms.append(
-            tuple(lookup_b[(b_block[v], table[b_elem[v]])] for v in range(degree))
-        )
-    graph = ActionGraph(basis, degree, tuple(perms))
-    aag = AmalgamActionGraph(
-        pres, graph, quot_a, quot_b, group_a, group_b,
-        a_block, a_elem, b_block, b_elem, n,
+    perms = _block_perms(a_block, a_elem, fa.tables) + _block_perms(
+        b_block, b_elem, fb.tables
     )
+    graph = ActionGraph(union_basis(pres), degree, tuple(perms))
+    aag = AmalgamActionGraph(pres, graph, fa, fb, a_block, a_elem, b_block, b_elem)
     validate_amalgam_graph(aag)
     return aag
 
@@ -344,7 +307,7 @@ def coset_subgraph(g: AmalgamActionGraph, p: int, kind: str) -> Tuple[int, ...]:
     if kind == "B":
         return tuple(v for v in range(g.degree) if g.b_block[v] == g.b_block[p])
     if kind == "C":
-        ids = g.c_orbit_ids()
+        ids = g.c_orbit_ids
         return tuple(v for v in range(g.degree) if ids[v] == ids[p])
     raise PreconditionError(f"unknown subgraph kind {kind!r}", code="INVALID_SPEC")
 
@@ -355,7 +318,7 @@ Edge = Tuple[int, str, int]  # (begin vertex, generator name, sign)
 def _edge_ends(g: AmalgamActionGraph, e: Edge) -> Tuple[int, int]:
     v, name, sign = e
     gi = g.graph.basis.index(name)
-    w = g.graph.perms[gi][v] if sign > 0 else invert(g.graph.perms[gi])[v]
+    w = g.graph.perms[gi][v] if sign > 0 else g.inverse_perms[gi][v]
     return v, w
 
 
@@ -363,7 +326,7 @@ def c_near_edges(g: AmalgamActionGraph, e: Edge, f: Edge) -> bool:
     """Edges joining the same pair of subgroup orbits with labels in one factor."""
     if g.factor_of(e[1]) != g.factor_of(f[1]):
         return False
-    ids = g.c_orbit_ids()
+    ids = g.c_orbit_ids
     (a1, w1), (a2, w2) = _edge_ends(g, e), _edge_ends(g, f)
     return ids[a1] == ids[a2] and ids[w1] == ids[w2]
 
@@ -417,7 +380,7 @@ def image_perm_step(g: AmalgamActionGraph, v: int, side: str, syl: Word) -> int:
     shift = 0 if side == "A" else g.pres.basis_a.rank
     for i, s in syl.letters:
         gi = i + shift
-        v = g.graph.perms[gi][v] if s > 0 else g.inv_perm(gi)[v]
+        v = g.graph.perms[gi][v] if s > 0 else g.inverse_perms[gi][v]
     return v
 
 
@@ -472,7 +435,7 @@ def amalgam_splice(
             code="INVALID_POSITION",
         )
     begin, side, target = steps[position]
-    ids = g.c_orbit_ids()
+    ids = g.c_orbit_ids
     cut_orbit = ids[target]
     chi = [1 if ids[v] == cut_orbit else 0 for v in range(g.degree)]
 
@@ -512,8 +475,7 @@ def amalgam_splice(
             a_elem[nv] = g.a_elem[v]
             b_elem[nv] = g.b_elem[v]
     out = AmalgamActionGraph(
-        g.pres, graph, g.quot_a, g.quot_b, g.group_a, g.group_b,
-        a_block, a_elem, b_block, b_elem, g.n,
+        g.pres, graph, g.factor_a, g.factor_b, a_block, a_elem, b_block, b_elem
     )
     validate_amalgam_graph(out)
     return out
@@ -525,7 +487,10 @@ def aag_product(g1: AmalgamActionGraph, g2: AmalgamActionGraph) -> AmalgamAction
     multiply, which is what the near-vertex-free searches need."""
     if g1.pres is not g2.pres and g1.pres != g2.pres:
         raise PreconditionError("products need a common presentation", code="INVALID_SPEC")
-    if g1.group_a.elements != g2.group_a.elements or g1.group_b.elements != g2.group_b.elements:
+    if (
+        g1.factor_a.group.elements != g2.factor_a.group.elements
+        or g1.factor_b.group.elements != g2.factor_b.group.elements
+    ):
         raise PreconditionError("products need common factor groups", code="INVALID_SPEC")
     v2 = g2.degree
     degree = g1.degree * v2
@@ -564,32 +529,26 @@ def aag_product(g1: AmalgamActionGraph, g2: AmalgamActionGraph) -> AmalgamAction
         return blk, elm
 
     a_block, a_elem = diagonal_coords(
-        g1.group_a, g1.a_block, g1.a_elem, g2.a_block, g2.a_elem
+        g1.factor_a.group, g1.a_block, g1.a_elem, g2.a_block, g2.a_elem
     )
     b_block, b_elem = diagonal_coords(
-        g1.group_b, g1.b_block, g1.b_elem, g2.b_block, g2.b_elem
+        g1.factor_b.group, g1.b_block, g1.b_elem, g2.b_block, g2.b_elem
     )
     return AmalgamActionGraph(
-        g1.pres, graph, g1.quot_a, g1.quot_b, g1.group_a, g1.group_b,
-        a_block, a_elem, b_block, b_elem, g1.n,
+        g1.pres, graph, g1.factor_a, g1.factor_b, a_block, a_elem, b_block, b_elem
     )
 
 
 # -- gluing search ---------------------------------------------------------------
 
 
-def gluing_candidates(
-    pres: AmalgamPresentation,
-    quot_a: FiniteQuotient,
-    quot_b: FiniteQuotient,
-    scale: int,
-) -> Iterator[GluingSpec]:
+def gluing_candidates(fa: Factor, fb: Factor, scale: int) -> Iterator[GluingSpec]:
     """Deterministic family at one size scale: strided matchings with
     constant rotations, then single-orbit rotation bumps of the identity."""
-    base = canonical_gluing(pres, quot_a, quot_b)
+    base = canonical_gluing(fa, fb)
     k, l = base.k * scale, base.l * scale
     total = len(base.matching) * scale
-    n_rot = element_order(quot_a.graph, pres.a)
+    n_rot = len(fa.orbits[0])
     strides = [s for s in range(1, total + 1) if gcd(s, total) == 1][:4]
     # distinct matchings first: products of same-matching gluings stay folded
     for rot in range(n_rot):
@@ -719,25 +678,16 @@ def separate_orders(
     if cv.is_empty():
         return _case_trivial(u, cu, v, pres, budget, log)
 
-    tu, tv = _shape(cu, pres), _shape(cv, pres)
-    if tu == "alternating" or tv == "alternating":
-        if tu != "alternating":
+    ku, kv = _classify_core(cu, pres), _classify_core(cv, pres)
+    if ku[0] == "alternating" or kv[0] == "alternating":
+        if ku[0] != "alternating":
             cu, cv = cv, cu
             u, v = v, u
-            tu, tv = tv, tu
+            ku, kv = kv, ku
             log.append("swapped inputs: alternating word drives the engine")
-        return _case_general(u, cu, v, cv, pres, budget, log)
+        return _case_general(u, cu, v, cv, kv[0] == "alternating", pres, budget, log)
 
-    return _case_factor_elements(u, cu, v, cv, pres, budget, log)
-
-
-def _shape(core: AmalgamWord, pres) -> str:
-    if len(core.syllables) >= 2:
-        return "alternating"
-    side, word = core.syllables[0]
-    if syllable_membership(word, pres.side_generator(side)) is not None:
-        return "power"
-    return "single"
+    return _case_factor_elements(u, ku, v, kv, pres, budget, log)
 
 
 def _finish(
@@ -761,22 +711,20 @@ def _finish(
 
 def _case_trivial(u, cu, v, pres, budget, log) -> SeparationResult:
     log.append("case: trivial second word")
-    if _shape(cu, pres) != "alternating":
-        side, word = cu.syllables[0]
-        if syllable_membership(word, pres.side_generator(side)) is not None:
-            side = "A"
-            word = reduce(
-                pres.a ** syllable_membership(cu.syllables[0][1],
-                                              pres.side_generator(cu.syllables[0][0]))
-            )
+    kind = _classify_core(cu, pres)
+    if kind[0] != "alternating":
+        if kind[0] == "power":
+            side, word = "A", reduce(pres.a ** kind[1])
+        else:
+            _, side, word = kind
         basis = pres.side_basis(side)
         root, exp = primitive_root(word)
         order = 2 + _val(exp, 2)
         quot = exact_order_quotient(root, 2**order, budget)
         if element_order(quot.graph, pres.side_generator(side)) <= 1:
             quot = _bump_subgroup_order(quot, basis, pres.side_generator(side), 1)
-        qa, qb = _factor_pair_quotients(pres, side, quot, budget)
-        aag = glue_quotient(pres, qa, qb, canonical_gluing(pres, qa, qb), budget)
+        pair = factor_pair(pres, *_factor_pair_quotients(pres, side, quot, budget))
+        aag = glue_quotient(pres, *pair, canonical_gluing(*pair), budget)
         return _finish(aag, u, v, pres, log)
 
     p = smallest_admissible_prime(pres)
@@ -796,30 +744,27 @@ def _rotate_to_a(core: AmalgamWord) -> AmalgamWord:
     return AmalgamWord(core.syllables[1:] + core.syllables[:1])
 
 
-def _case_factor_elements(u, cu, v, cv, pres, budget, log) -> SeparationResult:
-    tu, tv = _shape(cu, pres), _shape(cv, pres)
-    su, wu = cu.syllables[0]
-    sv, wv = cv.syllables[0]
+def _case_factor_elements(u, ku, v, kv, pres, budget, log) -> SeparationResult:
+    """``ku``, ``kv``: the cores' ``_classify_core`` kinds, power or single."""
+
     # subgroup powers live on both sides; single elements conjugate into the
     # subgroup are rewritten as powers first
-    if tu == "single":
-        k = _conjugate_into_subgroup(wu, pres.side_generator(su))
-        if k is not None:
-            tu, su, wu = "power", su, reduce(pres.side_generator(su) ** k)
-    if tv == "single":
-        k = _conjugate_into_subgroup(wv, pres.side_generator(sv))
-        if k is not None:
-            tv, sv, wv = "power", sv, reduce(pres.side_generator(sv) ** k)
+    def as_power(kind):
+        if kind[0] == "single":
+            k = _conjugate_into_subgroup(kind[2], pres.side_generator(kind[1]))
+            if k is not None:
+                return ("power", k)
+        return kind
 
-    def as_side(side, kind, syl_side, word):
-        if kind != "power":
-            return word if syl_side == side else None
-        exp = syllable_membership(word, pres.side_generator(syl_side))
-        return reduce(pres.side_generator(side) ** exp)
+    def as_side(side, kind):
+        if kind[0] == "power":
+            return reduce(pres.side_generator(side) ** kind[1])
+        return kind[2] if kind[1] == side else None
 
+    ku, kv = as_power(ku), as_power(kv)
     for side in ("A", "B"):
-        w1 = as_side(side, tu, su, wu)
-        w2 = as_side(side, tv, sv, wv)
+        w1 = as_side(side, ku)
+        w2 = as_side(side, kv)
         if w1 is not None and w2 is not None:
             log.append(f"case: both words in factor {side}")
             basis = pres.side_basis(side)
@@ -829,13 +774,12 @@ def _case_factor_elements(u, cu, v, cv, pres, budget, log) -> SeparationResult:
                 quot = _bump_subgroup_order(
                     quot, basis, pres.side_generator(side), _distinct_prime(o1, o2)
                 )
-            qa, qb = _factor_pair_quotients(pres, side, quot, budget)
-            aag = glue_quotient(pres, qa, qb, canonical_gluing(pres, qa, qb), budget)
+            pair = factor_pair(pres, *_factor_pair_quotients(pres, side, quot, budget))
+            aag = glue_quotient(pres, *pair, canonical_gluing(*pair), budget)
             return _finish(aag, u, v, pres, log)
 
     log.append("case: words in different factors")
-    wa = wu if su == "A" else wv
-    wb = wv if sv == "B" else wu
+    wa, wb = (ku[2], kv[2]) if ku[1] == "A" else (kv[2], ku[2])
     basis = union_basis(pres)
     fa = flatten_to_free(pres, [("A", wa)])
     fb = flatten_to_free(pres, [("B", wb)])
@@ -851,7 +795,8 @@ def _case_factor_elements(u, cu, v, cv, pres, budget, log) -> SeparationResult:
     quot_b = FiniteQuotient(
         ActionGraph(pres.basis_b, big.degree, big.perms[rank_a:]), pres.basis_b, {}
     )
-    aag = glue_quotient(pres, quot_a, quot_b, canonical_gluing(pres, quot_a, quot_b), budget)
+    pair = factor_pair(pres, quot_a, quot_b)
+    aag = glue_quotient(pres, *pair, canonical_gluing(*pair), budget)
     return _finish(aag, u, v, pres, log)
 
 
@@ -872,13 +817,14 @@ def _base_candidates(
     """Single gluings at growing scales, then synchronized products of the
     small ones (products multiply the block counts, which is usually what
     the near-vertex-freeness search is missing)."""
+    fa, fb = factor_pair(pres, qa, qb)
     small: List[AmalgamActionGraph] = []
     seen_matchings = set()
     for scale in (1, 2, 3):
-        for spec in gluing_candidates(pres, qa, qb, scale):
+        for spec in gluing_candidates(fa, fb, scale):
             budget.charge(1, "gluing candidate")
             try:
-                aag = glue_quotient(pres, qa, qb, spec, budget)
+                aag = glue_quotient(pres, fa, fb, spec, budget)
             except PreconditionError:
                 continue
             if scale == 1 and len(small) < 8 and (spec.matching, spec.rotations[0]) not in seen_matchings:
@@ -894,14 +840,13 @@ def _base_candidates(
             yield f"product of gluings {i},{j}", aag_product(small[i], small[j])
 
 
-def _case_general(u, cu, v, cv, pres, budget, log) -> SeparationResult:
+def _case_general(u, cu, v, cv, check_v, pres, budget, log) -> SeparationResult:
     log.append("case: general alternating")
     cu = _rotate_to_a(cu)
     p = smallest_admissible_prime(pres)
     qa, qb = matched_pair(cu, cv, pres, p, budget)
     wu = flatten_to_free(pres, cu.syllables)
     wv = flatten_to_free(pres, cv.syllables)
-    check_v = _shape(cv, pres) == "alternating"
 
     base = None
     for label, aag in _base_candidates(pres, qa, qb, budget):
@@ -952,8 +897,8 @@ def aag_to_json(g: AmalgamActionGraph) -> dict:
         "graph": graph_to_json(g.graph),
         "presentation": presentation_to_json(g.pres),
         "subgroup_order": g.n,
-        "quot_a": quotient_to_json(g.quot_a),
-        "quot_b": quotient_to_json(g.quot_b),
+        "quot_a": quotient_to_json(g.factor_a.quot),
+        "quot_b": quotient_to_json(g.factor_b.quot),
         "a_block": list(g.a_block),
         "a_elem": list(g.a_elem),
         "b_block": list(g.b_block),
@@ -962,21 +907,26 @@ def aag_to_json(g: AmalgamActionGraph) -> dict:
 
 
 def aag_from_json(data: dict) -> AmalgamActionGraph:
+    """Load and re-validate a graph; the factor data is derived again from
+    the two quotients, and the stored subgroup order must agree with it."""
     pres = presentation_from_json(data["presentation"])
-    quot_a = quotient_from_json(data["quot_a"])
-    quot_b = quotient_from_json(data["quot_b"])
+    fa, fb = factor_pair(
+        pres, quotient_from_json(data["quot_a"]), quotient_from_json(data["quot_b"])
+    )
     aag = AmalgamActionGraph(
         pres,
         graph_from_json(data["graph"]),
-        quot_a,
-        quot_b,
-        PermGroup(quot_a.graph.perms),
-        PermGroup(quot_b.graph.perms),
+        fa,
+        fb,
         data["a_block"],
         data["a_elem"],
         data["b_block"],
         data["b_elem"],
-        int(data["subgroup_order"]),
     )
     validate_amalgam_graph(aag)
+    if data["subgroup_order"] != aag.n:
+        raise ValidationError(
+            f"stored subgroup order {data['subgroup_order']} is not the quotients' {aag.n}",
+            code="SUBGROUP_ORDER",
+        )
     return aag

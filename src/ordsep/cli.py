@@ -268,9 +268,8 @@ def glue(ctx, pres_path, qa_path, qb_path):
         qa = ag.quotient_from_json(json.load(h))
     with open(qb_path) as h:
         qb = ag.quotient_from_json(json.load(h))
-    aag = agraph.glue_quotient(
-        pres, qa, qb, agraph.canonical_gluing(pres, qa, qb), _budget(ctx)
-    )
+    pair = agraph.factor_pair(pres, qa, qb)
+    aag = agraph.glue_quotient(pres, *pair, agraph.canonical_gluing(*pair), _budget(ctx))
     data = agraph.aag_to_json(aag)
     _emit(ctx, [ag.dumps(data).rstrip("\n")], data)
 

@@ -26,7 +26,6 @@ from .action_graph import (
     image_perm,
     invert,
     longest_orbit,
-    perm_orbits,
     perm_order,
     record_orders,
     u_cycles,
@@ -382,34 +381,19 @@ class EqualizeReport:
     shared_path_lengths: List[List[int]] = field(default_factory=list)
 
 
-def _rep_edge_keys(g: ActionGraph, w: Word, start: int) -> set:
-    """Positive-edge keys (gen, src) traversed by the representative."""
-    inverses = {gen: invert(g.perms[gen]) for gen, sign in set(w.letters) if sign < 0}
-    keys = set()
-    v = start
-    p_img = image_perm(g, w)
-    for _ in range(len(_orbit_of(p_img, start))):
-        for gen, sign in w.letters:
-            if sign > 0:
-                keys.add((gen, v))
-                v = g.perms[gen][v]
-            else:
-                v = inverses[gen][v]
-                keys.add((gen, v))
-    return keys
-
-
 def _cycle_lengths_through(g: ActionGraph, w: Word, edge_key) -> Tuple[int, int]:
-    """(max length through the edge, max length avoiding it) over w-cycles."""
-    p_img = image_perm(g, w)
+    """(max length through the edge, max length avoiding it) over w-cycles;
+    an edge is keyed (gen, src) by its positive orientation."""
     max_through = 0
     max_avoiding = 0
-    for orbit in perm_orbits(p_img):
-        keys = _rep_edge_keys(g, w, orbit[0])
-        if edge_key in keys:
-            max_through = max(max_through, len(orbit))
+    for c in u_cycles(g, w):
+        if any(
+            ((gen, v_from) if sign > 0 else (gen, v_to)) == edge_key
+            for v_from, gen, sign, v_to in c.edges()
+        ):
+            max_through = max(max_through, c.length)
         else:
-            max_avoiding = max(max_avoiding, len(orbit))
+            max_avoiding = max(max_avoiding, c.length)
     return max_through, max_avoiding
 
 

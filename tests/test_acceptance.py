@@ -27,7 +27,9 @@ from ordsep.amalgam import (
 )
 from ordsep.amalgam_graph import (
     AmalgamActionGraph,
+    PermGroup,
     canonical_gluing,
+    factor_pair,
     glue_quotient,
     separate_orders,
     validate_amalgam_graph,
@@ -133,9 +135,8 @@ def _edge_key(g, word, start, index):
 
 
 def _rep_keys(g, word, start):
-    from ordsep.surgery import _rep_edge_keys
-
-    return _rep_edge_keys(g, word, start)
+    cycle = next(c for c in u_cycles(g, word) if c.start == start)
+    return {(gen, v_from) if sign > 0 else (gen, v_to) for v_from, gen, sign, v_to in cycle.edges()}
 
 
 def _crossings(g, word, start, cut_key):
@@ -241,6 +242,22 @@ def test_criterion_6_separation_end_to_end():
     _report(6, "two-element separation across all cases", elapsed, 120)
 
 
+@pytest.mark.parametrize("name,u,v", SEPARATION_CATALOG, ids=[c[0] for c in SEPARATION_CATALOG])
+def test_separation_builds_each_factor_group_once(monkeypatch, name, u, v):
+    # one separation glues one quotient pair: its two factor groups are
+    # built once and shared by every gluing, product and splice
+    built = []
+    original = PermGroup.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(name)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(PermGroup, "__init__", counting)
+    separate_orders(u, v, PRES)
+    assert len(built) <= 2
+
+
 def test_criterion_7_oracle_agreement():
     start = time.time()
     outputs = _separate_all()
@@ -296,7 +313,8 @@ def test_criterion_9_validity_fuzzing():
 
     qa = exact_order_quotient(parse_word("x", A), 4)
     qb = exact_order_quotient(parse_word("s", B), 4)
-    base = glue_quotient(PRES, qa, qb, canonical_gluing(PRES, qa, qb))
+    pair = factor_pair(PRES, qa, qb)
+    base = glue_quotient(PRES, *pair, canonical_gluing(*pair))
     for _ in range(300):
         perms = [list(p) for p in base.graph.perms]
         gi = rng.randrange(len(perms))
@@ -306,8 +324,8 @@ def test_criterion_9_validity_fuzzing():
         bad = AmalgamActionGraph(
             PRES,
             ActionGraph(base.graph.basis, base.degree, tuple(tuple(p) for p in perms)),
-            base.quot_a, base.quot_b, base.group_a, base.group_b,
-            base.a_block, base.a_elem, base.b_block, base.b_elem, base.n,
+            base.factor_a, base.factor_b,
+            base.a_block, base.a_elem, base.b_block, base.b_elem,
         )
         with pytest.raises(ValidationError):
             validate_amalgam_graph(bad)

@@ -2,6 +2,7 @@ import pytest
 
 from ordsep.action_graph import (
     ActionGraph,
+    FiniteQuotient,
     element_order,
     has_l_near,
     image_perm,
@@ -20,12 +21,15 @@ from ordsep.amalgam_graph import (
     AmalgamActionGraph,
     GluingSpec,
     PermGroup,
+    aag_from_json,
     aag_product,
+    aag_to_json,
     amalgam_splice,
     c_near_edges,
     c_near_paths,
     canonical_gluing,
     coset_subgraph,
+    factor_pair,
     glue_quotient,
     rep_has_near_vertices,
     separate_orders,
@@ -33,7 +37,7 @@ from ordsep.amalgam_graph import (
     validate_amalgam_graph,
     word_reps_near_free,
 )
-from ordsep.errors import PreconditionError, ValidationError
+from ordsep.errors import BudgetExceeded, PreconditionError, ValidationError
 from ordsep.oracle import oracle_consistency
 from ordsep.surgery import exact_order_quotient
 from ordsep.words import Basis, Word, parse_word
@@ -53,16 +57,21 @@ def z4_pair():
     return qa, qb
 
 
+def glue_canonical(qa, qb):
+    pair = factor_pair(PRES, qa, qb)
+    return glue_quotient(PRES, *pair, canonical_gluing(*pair))
+
+
 def matched_glue(u_text, v_text, p=2):
     u, _ = cyclically_reduce_amalgam(aw(u_text), PRES)
     v, _ = cyclically_reduce_amalgam(aw(v_text), PRES)
     qa, qb = matched_pair(u, v, PRES, p)
-    return glue_quotient(PRES, qa, qb, canonical_gluing(PRES, qa, qb)), u, v
+    return glue_canonical(qa, qb), u, v
 
 
 def test_glue_minimal_cyclic():
     qa, qb = z4_pair()
-    aag = glue_quotient(PRES, qa, qb, canonical_gluing(PRES, qa, qb))
+    aag = glue_canonical(qa, qb)
     assert aag.degree == 4
     assert aag.n == 4
     validate_amalgam_graph(aag)
@@ -77,17 +86,17 @@ def test_glue_order_mismatch():
     qa = exact_order_quotient(parse_word("x", A), 2)
     qb = exact_order_quotient(parse_word("s", B), 3)
     with pytest.raises(PreconditionError) as exc:
-        glue_quotient(PRES, qa, qb, GluingSpec(1, 1, (0,), (0,)))
+        factor_pair(PRES, qa, qb)
     assert exc.value.code == "ORDER_MISMATCH"
 
 
 def test_glue_spec_invalid():
-    qa, qb = z4_pair()
+    pair = factor_pair(PRES, *z4_pair())
     with pytest.raises(PreconditionError) as exc:
-        glue_quotient(PRES, qa, qb, GluingSpec(2, 1, (0,), (0,)))
+        glue_quotient(PRES, *pair, GluingSpec(2, 1, (0,), (0,)))
     assert exc.value.code == "SPEC_INVALID"
     with pytest.raises(PreconditionError) as exc:
-        glue_quotient(PRES, qa, qb, GluingSpec(1, 1, (0,), (7,)))
+        glue_quotient(PRES, *pair, GluingSpec(1, 1, (0,), (7,)))
     assert exc.value.code == "SPEC_INVALID"
 
 
@@ -95,11 +104,11 @@ def test_validate_detects_agreement_violation():
     # both sides free and regular, but the B coordinates read the cycle in a
     # non-translated order, so the two subgroup generators act differently
     qa, qb = z4_pair()
-    aag = glue_quotient(PRES, qa, qb, canonical_gluing(PRES, qa, qb))
+    aag = glue_canonical(qa, qb)
     scrambled = (0, 1, 3, 2)
     b_elem = tuple(scrambled[v] for v in range(4))
     s_index = aag.graph.basis.index("s")
-    table = aag.group_b.rmul_table(aag.quot_b.graph.perms[0])
+    table = aag.factor_b.tables[0]
     inv = {e: v for v, e in enumerate(b_elem)}
     s_perm = tuple(inv[table[b_elem[v]]] for v in range(4))
     perms = list(aag.graph.perms)
@@ -107,15 +116,12 @@ def test_validate_detects_agreement_violation():
     bad = AmalgamActionGraph(
         PRES,
         ActionGraph(aag.graph.basis, 4, tuple(perms)),
-        aag.quot_a,
-        aag.quot_b,
-        aag.group_a,
-        aag.group_b,
+        aag.factor_a,
+        aag.factor_b,
         aag.a_block,
         aag.a_elem,
         aag.b_block,
         b_elem,
-        aag.n,
     )
     with pytest.raises(ValidationError) as exc:
         validate_amalgam_graph(bad)
@@ -124,12 +130,12 @@ def test_validate_detects_agreement_violation():
 
 def test_validate_detects_not_free():
     qa, qb = z4_pair()
-    aag = glue_quotient(PRES, qa, qb, canonical_gluing(PRES, qa, qb))
+    aag = glue_canonical(qa, qb)
     collapsed = list(aag.a_elem)
     collapsed[1] = collapsed[0]
     bad = AmalgamActionGraph(
-        PRES, aag.graph, aag.quot_a, aag.quot_b, aag.group_a, aag.group_b,
-        aag.a_block, tuple(collapsed), aag.b_block, aag.b_elem, aag.n,
+        PRES, aag.graph, aag.factor_a, aag.factor_b,
+        aag.a_block, tuple(collapsed), aag.b_block, aag.b_elem,
     )
     with pytest.raises(ValidationError) as exc:
         validate_amalgam_graph(bad)
@@ -138,14 +144,14 @@ def test_validate_detects_not_free():
 
 def test_validate_detects_not_action():
     qa, qb = z4_pair()
-    aag = glue_quotient(PRES, qa, qb, canonical_gluing(PRES, qa, qb))
+    aag = glue_canonical(qa, qb)
     perms = [list(p) for p in aag.graph.perms]
     perms[0][0], perms[0][1] = perms[0][1], perms[0][0]
     bad = AmalgamActionGraph(
         PRES,
         ActionGraph(aag.graph.basis, 4, tuple(tuple(p) for p in perms)),
-        aag.quot_a, aag.quot_b, aag.group_a, aag.group_b,
-        aag.a_block, aag.a_elem, aag.b_block, aag.b_elem, aag.n,
+        aag.factor_a, aag.factor_b,
+        aag.a_block, aag.a_elem, aag.b_block, aag.b_elem,
     )
     with pytest.raises(ValidationError) as exc:
         validate_amalgam_graph(bad)
@@ -154,7 +160,7 @@ def test_validate_detects_not_action():
 
 def test_coset_subgraphs():
     qa, qb = z4_pair()
-    aag = glue_quotient(PRES, qa, qb, canonical_gluing(PRES, qa, qb))
+    aag = glue_canonical(qa, qb)
     assert coset_subgraph(aag, 0, "A") == (0, 1, 2, 3)
     assert coset_subgraph(aag, 0, "B") == (0, 1, 2, 3)
     assert coset_subgraph(aag, 0, "C") == (0, 1, 2, 3)
@@ -173,7 +179,7 @@ def test_c_near_edges_and_paths():
     assert c_near_edges(aag, e, e) is True
     f = (0, "t", 1)
     assert c_near_edges(aag, e, f) is False
-    ids = aag.c_orbit_ids()
+    ids = aag.c_orbit_ids
     # another y-edge with both endpoints in the same orbit pair
     y_perm = aag.graph.perms[1]
     v0 = 0
@@ -202,7 +208,7 @@ def test_amalgam_splice_identity_and_laws():
     assert same.degree == aag.degree
     assert element_order(same.graph, wu) == element_order(aag.graph, wu)
 
-    ids = aag.c_orbit_ids()
+    ids = aag.c_orbit_ids
     cut_orbit = ids[syllable_rep(aag, u, anchor)[0][2]]
     cut_side = u.syllables[0][0]
     for n in (2, 3):
@@ -251,7 +257,7 @@ def _factor_element_graph(aag):
     distances here realize the paper-level near-vertex semantics."""
     names = []
     perms = []
-    for side, group in (("A", aag.group_a), ("B", aag.group_b)):
+    for side, group in (("A", aag.factor_a.group), ("B", aag.factor_b.group)):
         for h in range(1, len(group)):
             names.append(f"{side}{h}")
             perms.append(aag.act(side, h))
@@ -261,10 +267,9 @@ def _factor_element_graph(aag):
 def _as_element_word(aag, graph, names, u):
     letters = []
     for side, syl in u.syllables:
-        quot = aag.quot_a if side == "A" else aag.quot_b
-        group = aag.group_a if side == "A" else aag.group_b
-        perm = image_perm(quot.graph, syl)
-        idx = group.index[perm]
+        factor = aag.factor_a if side == "A" else aag.factor_b
+        perm = image_perm(factor.quot.graph, syl)
+        idx = factor.group.index[perm]
         assert idx != 0, "syllable must act nontrivially"
         letters.append((graph.basis.index(f"{side}{idx}"), 1))
     return Word(graph.basis, tuple(letters))
@@ -331,7 +336,7 @@ def reduce_inverse_rotation(u):
 def test_factor_groups_embed():
     aag, _, _ = matched_glue("A:{y} B:{t}", "A:{y y}", p=2)
     ident = tuple(range(aag.degree))
-    for side, group in (("A", aag.group_a), ("B", aag.group_b)):
+    for side, group in (("A", aag.factor_a.group), ("B", aag.factor_b.group)):
         for h in range(1, len(group)):
             assert aag.act(side, h) != ident
 
@@ -342,10 +347,51 @@ def test_perm_group_closure():
 
 
 def test_aag_json_round_trip():
-    from ordsep.amalgam_graph import aag_from_json, aag_to_json
-
     aag, u, _ = matched_glue("A:{y} B:{t}", "A:{y y}", p=2)
     loaded = aag_from_json(aag_to_json(aag))
     assert loaded.graph == aag.graph
     assert loaded.a_block == aag.a_block and loaded.b_elem == aag.b_elem
     assert loaded.n == aag.n
+
+
+def test_aag_product_accepts_a_reloaded_factor():
+    # common factor groups are compared by content, not by object identity
+    aag, _, _ = matched_glue("A:{y} B:{t}", "A:{y y}", p=2)
+    want = aag_product(aag, aag)
+    got = aag_product(aag, aag_from_json(aag_to_json(aag)))
+    assert got.graph == want.graph
+    assert (got.a_block, got.a_elem, got.b_block, got.b_elem) == (
+        want.a_block, want.a_elem, want.b_block, want.b_elem
+    )
+
+
+@pytest.mark.parametrize(
+    "field,index,value",
+    [("a_elem", 3, 7), ("a_elem", 3, -1), ("a_block", 0, -1), ("b_elem", 0, 4)],
+)
+def test_aag_from_json_rejects_out_of_range_coordinates(field, index, value):
+    data = aag_to_json(glue_canonical(*z4_pair()))
+    assert data[field][index] != value
+    data[field][index] = value
+    with pytest.raises(ValidationError) as exc:
+        aag_from_json(data)
+    assert exc.value.code == "NOT_FREE"
+
+
+def test_aag_from_json_rejects_a_wrong_subgroup_order():
+    data = aag_to_json(glue_canonical(*z4_pair()))
+    assert data["subgroup_order"] == 4
+    data["subgroup_order"] = 99
+    with pytest.raises(ValidationError) as exc:
+        aag_from_json(data)
+    assert exc.value.code == "SUBGROUP_ORDER"
+
+
+def test_factor_group_cap_precedes_order_mismatch():
+    # an 8-cycle and a transposition generate Sym(8), past the closure cap;
+    # the cap is reported before the mismatched subgroup orders are
+    big = ActionGraph(A, 8, ((1, 2, 3, 4, 5, 6, 7, 0), (1, 0, 2, 3, 4, 5, 6, 7)))
+    qa = FiniteQuotient(big, A, {})
+    qb = exact_order_quotient(parse_word("s", B), 3)
+    with pytest.raises(BudgetExceeded):
+        factor_pair(PRES, qa, qb)

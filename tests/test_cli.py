@@ -195,6 +195,27 @@ def test_glue_splice_round_trip(capsys, tmp_path, pres_file):
     assert code == 2
 
 
+def test_amalgam_splice_rejects_a_corrupted_graph_file(capsys, tmp_path, pres_file):
+    paths = []
+    for basis, gen in (("x,y", "x"), ("s,t", "s")):
+        code, out, _ = run(capsys, "--format", "json", "exact-order", "--basis", basis, gen, "4")
+        paths.append(tmp_path / f"{gen}.json")
+        paths[-1].write_text(out)
+    code, glued, _ = run(
+        capsys, "--format", "json", "glue", "--presentation", pres_file,
+        "--quot-a", str(paths[0]), "--quot-b", str(paths[1]),
+    )
+    data = json.loads(glued)
+    data["a_elem"][-1] = 7
+    graph_path = tmp_path / "bad.json"
+    graph_path.write_text(json.dumps(data))
+    code, _, err = run(
+        capsys, "amalgam-splice", "--graph", str(graph_path), "A:{y} B:{t}", "0", "0", "2"
+    )
+    assert code == 2
+    assert "NOT_FREE" in err
+
+
 def test_export_dot(capsys, tmp_path, pres_file):
     code, qa_out, _ = run(capsys, "--format", "json", "exact-order", "x", "3")
     path = tmp_path / "q.json"

@@ -125,9 +125,8 @@ def _rep_keys(g, word, start, edge_index):
 
 
 def _all_keys(g, word, start):
-    from ordsep.surgery import _rep_edge_keys
-
-    return _rep_edge_keys(g, word, start)
+    cycle = next(c for c in u_cycles(g, word) if c.start == start)
+    return {(gen, v_from) if sign > 0 else (gen, v_to) for v_from, gen, sign, v_to in cycle.edges()}
 
 
 def _crossings(g, word, start, cut_key):
