@@ -308,6 +308,19 @@ def conjugate_in_amalgam(
     total letter count; beyond the bound the conjugated first syllable is
     provably longer than anything in v, so exhaustion is a definitive no.
     ``unknown`` is reserved for budget exhaustion mid-scan.
+
+    Each k is tested on its first syllable before any normal form is built.
+    Let r1 r2 ... rm (m >= 2) be the rotation, c the generator of r1's side,
+    c' that of rm's side, and y1 the first syllable of v's core.  Then
+    (c^-k r1) r2 ... (rm c'^k) is a reduced alternating form of the
+    candidate, and by the normal form theorem (Lyndon-Schupp IV.2) every
+    reduced form of one element starts in the same coset of <c>.  So the
+    candidate can equal v's core only if y1^-1 c^-k r1 lies in <c>; every
+    other k is skipped, still at one budget unit.  Since c is not a proper
+    power, <c> is malnormal in its free factor, and r1 lies outside it: two
+    surviving k, k' would put r1^-1 c^(k-k') r1 in <c>, forcing k = k'.  So
+    at most one k per rotation pays for the full normal form, which alone
+    decides it.
     """
     budget = as_budget(budget)
     cu, gu = cyclically_reduce_amalgam(u, pres)
@@ -346,14 +359,25 @@ def conjugate_in_amalgam(
     # beyond the window the candidate's first syllable is provably longer
     # than anything in v, even after coset canonicalization
     bound = 3 * u.total_letters() + v.total_letters() + 2
+    side = cv.syllables[0][0]
+    c = pres.side_generator(side)
+    c_inv = c.inverse()
+    y1_inv = cv.syllables[0][1].inverse()
     try:
         for rot in range(m):
             rotated = cu.syllables[rot:] + cu.syllables[:rot]
-            if rotated[0][0] != cv.syllables[0][0]:
+            if rotated[0][0] != side:
                 continue
             prefix = AmalgamWord(cu.syllables[:rot])
+            # first syllable c^-k r1 of the candidate, stepped by one seam
+            # product per k
+            first = _reduced_product(reduce(c**bound), rotated[0][1])
             for k in range(-bound, bound + 1):
                 budget.charge(1, "conjugacy scan")
+                if k > -bound:
+                    first = _reduced_product(c_inv, first)
+                if syllable_membership(_reduced_product(y1_inv, first), c) is None:
+                    continue
                 power = _subgroup_power(pres, k)
                 cand = reduce_amalgam(
                     power.inverse() * AmalgamWord(rotated) * power, pres

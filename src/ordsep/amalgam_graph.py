@@ -115,7 +115,15 @@ def factor_pair(
     pres: AmalgamPresentation, quot_a: FiniteQuotient, quot_b: FiniteQuotient
 ) -> Tuple[Factor, Factor]:
     """Both sides' factor data for one quotient pair; every gluing of the
-    pair, and every graph derived from one, shares it."""
+    pair, and every graph derived from one, shares it.  Each quotient's
+    generators must be its side's basis, in the same order."""
+    for side, quot in (("A", quot_a), ("B", quot_b)):
+        if quot.graph.basis != pres.side_basis(side):
+            raise ValidationError(
+                f"quotient generators {list(quot.graph.basis.names)} are not the "
+                f"{side} basis {list(pres.side_basis(side).names)}",
+                code="BASIS_MISMATCH",
+            )
     fa, fb = _factor(quot_a, pres.a), _factor(quot_b, pres.b)
     n, nb = len(fa.orbits[0]), len(fb.orbits[0])
     if n != nb or n <= 1:

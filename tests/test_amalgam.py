@@ -1,6 +1,9 @@
-import pytest
-from hypothesis import given, settings, strategies as st
+import random
 
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+import ordsep.amalgam as amalgam
 from ordsep.action_graph import element_order
 from ordsep.amalgam import (
     AmalgamPresentation,
@@ -20,7 +23,9 @@ from ordsep.amalgam import (
     syllable_membership,
     union_basis,
 )
-from ordsep.errors import PreconditionError
+from ordsep.budget import DEFAULT_BUDGET, Budget
+from ordsep.errors import BudgetExceeded, PreconditionError
+from ordsep.oracle import oracle_separate
 from ordsep.words import (
     Basis,
     Word,
@@ -289,6 +294,167 @@ def test_conjugacy_subgroup_twist():
     v = aw("A:{x^-1 y} B:{t s}")
     res = conjugate_in_amalgam(u, v, PRES)
     assert res.status == "yes"
+
+
+# the fixture, the two longer generators above, and a non-cyclically-reduced
+# A generator against a B generator with a repeated letter
+CONJUGACY_PRESENTATIONS = FIXTURE_AND_LONGER + [presentation("x y x^-1", "s t s^-1 t")]
+CONJUGACY_IDS = ["x-s", "xy-sts", "commutator-sst", "xyx^-1-sts^-1t"]
+
+
+def conjugacy_by_full_scan(u, v, pres, budget):
+    """The alternating k scan with no first-syllable test: every subgroup
+    power pays for a full normal form.  (status, witness)."""
+    cu, gu = cyclically_reduce_amalgam(u, pres)
+    cv, gv = cyclically_reduce_amalgam(v, pres)
+    m = len(cu.syllables)
+    assert m >= 2 and len(cv.syllables) == m
+    bound = 3 * u.total_letters() + v.total_letters() + 2
+    try:
+        for rot in range(m):
+            rotated = AmalgamWord(cu.syllables[rot:] + cu.syllables[:rot])
+            if rotated.syllables[0][0] != cv.syllables[0][0]:
+                continue
+            for k in range(-bound, bound + 1):
+                budget.charge(1, "conjugacy scan")
+                power = reduce_amalgam(AmalgamWord((("A", reduce(pres.a**k)),)), pres)
+                if reduce_amalgam(power.inverse() * rotated * power, pres) == cv:
+                    mid = AmalgamWord(cu.syllables[:rot]) * power
+                    return "yes", reduce_amalgam(gu * mid * gv.inverse(), pres)
+    except BudgetExceeded:
+        return "unknown", None
+    return "no", None
+
+
+def random_syllable(basis, rng):
+    while True:
+        letters = [(rng.randrange(2), rng.choice((1, -1))) for _ in range(rng.randint(1, 3))]
+        word = reduce(Word(basis, tuple(letters)))
+        if not word.is_empty():
+            return word
+
+
+def random_alternating(pres, rng, m):
+    sides = "AB" if rng.random() < 0.5 else "BA"
+    return AmalgamWord(
+        tuple((sides[i % 2], random_syllable(pres.side_basis(sides[i % 2]), rng)) for i in range(m))
+    )
+
+
+def twisted_conjugate(u, pres, rng):
+    """g^-1 u g for a random alternating g that ends in a subgroup power."""
+    twist = AmalgamWord((("A", reduce(pres.a ** rng.randint(-3, 3))),))
+    g = random_alternating(pres, rng, rng.randint(0, 3)) * twist
+    return g.inverse() * u * g
+
+
+def alternating_cores_of_equal_length(u, v, pres):
+    cu, _ = cyclically_reduce_amalgam(u, pres)
+    cv, _ = cyclically_reduce_amalgam(v, pres)
+    return len(cu.syllables) >= 2 and len(cu.syllables) == len(cv.syllables)
+
+
+@pytest.mark.parametrize("pres", CONJUGACY_PRESENTATIONS, ids=CONJUGACY_IDS)
+def test_conjugacy_scan_matches_the_full_scan(pres):
+    # same status, same witness and the same budget units, also when a small
+    # budget makes both end in unknown
+    rng = random.Random(17)
+    pairs = []
+    while len(pairs) < 16:
+        m = rng.choice((2, 4, 6))
+        u = random_alternating(pres, rng, m)
+        if len(pairs) % 2:
+            v = random_alternating(pres, rng, m)
+        else:
+            v = twisted_conjugate(u, pres, rng)
+        if alternating_cores_of_equal_length(u, v, pres):
+            pairs.append((u, v))
+    statuses = set()
+    for u, v in pairs:
+        for limit in (7, 40, DEFAULT_BUDGET):
+            got_budget, want_budget = Budget(limit), Budget(limit)
+            got = conjugate_in_amalgam(u, v, pres, got_budget)
+            want = conjugacy_by_full_scan(u, v, pres, want_budget)
+            assert (got.status, got.witness) == want
+            assert got_budget.used == want_budget.used
+            statuses.add(got.status)
+    assert statuses == {"yes", "no", "unknown"}
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_first_syllable_test_rejects_only_mismatches(data):
+    pres = data.draw(st.sampled_from(CONJUGACY_PRESENTATIONS))
+    u = data.draw(amalgam_words(pres, 2, 4))
+    if data.draw(st.booleans()):
+        g = data.draw(amalgam_words(pres, 0, 2))
+        twist = AmalgamWord((("A", reduce(pres.a ** data.draw(st.integers(-3, 3)))),))
+        v = (g * twist).inverse() * u * (g * twist)
+    else:
+        v = data.draw(amalgam_words(pres, 2, 4))
+    assume(alternating_cores_of_equal_length(u, v, pres))
+    cu, _ = cyclically_reduce_amalgam(u, pres)
+    cv, _ = cyclically_reduce_amalgam(v, pres)
+    side, y1 = cv.syllables[0]
+    c = pres.side_generator(side)
+    for rot in range(len(cu.syllables)):
+        rotated = cu.syllables[rot:] + cu.syllables[:rot]
+        if rotated[0][0] != side:
+            continue
+        survivors = []
+        for k in range(-6, 7):
+            first = reduce(c**-k * rotated[0][1])
+            if syllable_membership(reduce(y1.inverse() * first), c) is not None:
+                survivors.append(k)
+                continue
+            power = reduce_amalgam(AmalgamWord((("A", reduce(pres.a**k)),)), pres)
+            assert reduce_amalgam(power.inverse() * AmalgamWord(rotated) * power, pres) != cv
+        # <c> is malnormal and r1 lies outside it
+        assert len(survivors) <= 1
+
+
+def test_conjugacy_scan_builds_few_normal_forms(monkeypatch):
+    # only the k that pass the first-syllable test pay for a normal form;
+    # the plain scan builds one for each of about 400 subgroup powers here
+    u = aw("A:{y} B:{t} A:{y y} B:{t} A:{y} B:{t t}")
+    v = aw("A:{y} B:{t} A:{y y} B:{t} A:{y} B:{t^-1}")
+    built = []
+    original = amalgam.reduce_amalgam
+
+    def counting(w, pres):
+        built.append(w)
+        return original(w, pres)
+
+    monkeypatch.setattr(amalgam, "reduce_amalgam", counting)
+    for x, y in ((u, v), (v, u)):
+        built.clear()
+        assert conjugate_in_amalgam(x, y, PRES).status == "no"
+        assert len(built) <= 10
+
+
+@pytest.mark.parametrize("pres", FIXTURE_AND_LONGER[:2], ids=["x-s", "xy-sts"])
+def test_precheck_says_no_whenever_the_oracle_separates(pres):
+    # a hom into Sym(4) that gives u and v different orders rules out
+    # conjugacy to v and to v^-1; half the pairs are conjugates of u with
+    # one syllable changed
+    rng = random.Random(29)
+    separated = 0
+    for i in range(30):
+        m = rng.choice((2, 4))
+        u = random_alternating(pres, rng, m)
+        if i % 2:
+            v = random_alternating(pres, rng, m)
+        else:
+            edited = list(u.syllables)
+            j = rng.randrange(m)
+            edited[j] = (edited[j][0], random_syllable(pres.side_basis(edited[j][0]), rng))
+            v = twisted_conjugate(AmalgamWord(tuple(edited)), pres, rng)
+        if oracle_separate(u, v, pres, 4) is None:
+            continue
+        separated += 1
+        for w in (v, v.inverse()):
+            assert conjugate_in_amalgam(u, w, pres).status == "no"
+    assert separated >= 20
 
 
 def test_delta_sets_single_factor():

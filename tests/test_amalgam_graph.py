@@ -7,6 +7,7 @@ from ordsep.action_graph import (
     has_l_near,
     image_perm,
     perm_orbits,
+    quotient_to_json,
     u_cycles,
 )
 from ordsep.amalgam import (
@@ -385,6 +386,16 @@ def test_aag_from_json_rejects_a_wrong_subgroup_order():
     with pytest.raises(ValidationError) as exc:
         aag_from_json(data)
     assert exc.value.code == "SUBGROUP_ORDER"
+
+
+@pytest.mark.parametrize("names", [("s",), ("t", "s")])
+def test_aag_from_json_rejects_a_quotient_over_another_basis(names):
+    data = aag_to_json(glue_canonical(*z4_pair()))
+    basis = Basis(names)
+    data["quot_b"] = quotient_to_json(exact_order_quotient(parse_word("s", basis), 4))
+    with pytest.raises(ValidationError) as exc:
+        aag_from_json(data)
+    assert exc.value.code == "BASIS_MISMATCH"
 
 
 def test_factor_group_cap_precedes_order_mismatch():

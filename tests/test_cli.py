@@ -216,6 +216,24 @@ def test_amalgam_splice_rejects_a_corrupted_graph_file(capsys, tmp_path, pres_fi
     assert "NOT_FREE" in err
 
 
+@pytest.mark.parametrize("basis_b", ["s", "t,s"])
+def test_glue_rejects_a_quotient_over_another_basis(capsys, tmp_path, pres_file, basis_b):
+    # the B basis is s, t: a quotient missing t, or listing it first, is refused
+    paths = []
+    for basis, gen in (("x,y", "x"), (basis_b, "s")):
+        code, out, _ = run(capsys, "--format", "json", "exact-order", "--basis", basis, gen, "4")
+        assert code == 0
+        paths.append(tmp_path / f"{gen}.json")
+        paths[-1].write_text(out)
+    code, out, err = run(
+        capsys, "--format", "json", "glue", "--presentation", pres_file,
+        "--quot-a", str(paths[0]), "--quot-b", str(paths[1]),
+    )
+    assert code == 2
+    assert out == ""
+    assert "BASIS_MISMATCH" in err
+
+
 def test_export_dot(capsys, tmp_path, pres_file):
     code, qa_out, _ = run(capsys, "--format", "json", "exact-order", "x", "3")
     path = tmp_path / "q.json"
